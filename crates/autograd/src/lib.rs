@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod backend;
 mod op;
 mod parameter;
 mod tape;
@@ -33,6 +34,7 @@ mod var;
 
 pub mod gradcheck;
 
+pub use backend::{Backend, Eager, EagerVal};
 pub use op::{Grads, GradsIter, Op};
 pub use parameter::Parameter;
 pub use tape::Tape;

@@ -47,7 +47,7 @@ impl Var {
     }
 
     /// Apply `f` to the raw forward values of `self` and `other`.
-    fn with_values2<R>(&self, other: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+    pub(crate) fn with_values2<R>(&self, other: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
         let inner = self.tape.inner.borrow();
         f(&inner.nodes[self.id].value, &inner.nodes[other.id].value)
     }

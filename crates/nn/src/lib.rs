@@ -25,8 +25,7 @@ mod schedule;
 mod trainer;
 
 pub use attention::{
-    prob_sparse_attention, prob_sparse_attention_eval, scaled_dot_attention,
-    scaled_dot_attention_eval, AttentionKind, AttentionLayer,
+    prob_sparse_attention, prob_sparse_u, scaled_dot_attention, AttentionKind, AttentionLayer,
 };
 pub use conv::{GatedTemporalConv, TemporalConvLayer};
 pub use linear::Linear;

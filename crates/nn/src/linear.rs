@@ -1,7 +1,7 @@
 //! Dense (fully connected) layer applied to the last axis.
 
-use cts_autograd::{Parameter, Tape, Var};
-use cts_tensor::{init, ops, Tensor};
+use cts_autograd::{Backend, Eager, EagerVal, Parameter};
+use cts_tensor::{init, Tensor};
 use rand::Rng;
 
 /// `y = x · W (+ b)` over the last axis; leading axes are batch.
@@ -25,7 +25,7 @@ impl Linear {
         let bias = bias.then(|| {
             Parameter::new(
                 format!("{name}.bias"),
-                cts_tensor::Tensor::zeros([d_out]),
+                Tensor::zeros([d_out]),
             )
         });
         Self {
@@ -47,24 +47,17 @@ impl Linear {
     }
 
     /// Apply to `[..., d_in]`, producing `[..., d_out]`.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let w = tape.param(&self.weight);
-        let y = x.matmul(&w);
+    pub fn forward<'a, B: Backend<'a>>(&'a self, b: &B, x: &B::Val) -> B::Val {
+        let y = b.matmul(x, &b.param(&self.weight));
         match &self.bias {
-            Some(b) => y.add(&tape.param(b)),
+            Some(bias) => b.add(&y, &b.param(bias)),
             None => y,
         }
     }
 
-    /// Tape-free forward: the same kernels as [`Self::forward`] in the same
-    /// order (bit-identical output), reading the weights in place instead of
-    /// copying them onto a tape.
+    /// Tape-free [`Self::forward`], for compiled plans.
     pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        let y = ops::matmul(x, &self.weight.value());
-        match &self.bias {
-            Some(b) => ops::add(&y, &b.value()),
-            None => y,
-        }
+        self.forward(&Eager, &EagerVal::Borrowed(x)).into_tensor()
     }
 
     /// Parameters of this layer.
@@ -80,7 +73,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cts_tensor::Tensor;
+    use cts_autograd::Tape;
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]

@@ -6,8 +6,8 @@
 //! provided as well and is exercised by tests and by baselines that call for
 //! it. The substitution is noted in DESIGN.md.
 
-use cts_autograd::{Parameter, Tape, Var};
-use cts_tensor::{ops, Tensor};
+use cts_autograd::{Backend, Parameter, Tape, Var};
+use cts_tensor::Tensor;
 use std::cell::{Cell, RefCell};
 
 /// Layer normalisation over the last (channel) axis with learnable affine.
@@ -27,31 +27,16 @@ impl LayerNorm {
         }
     }
 
-    /// Normalise `[..., d]` per position over the channel axis.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let rank = x.shape().len();
-        let axis = rank - 1;
-        let mean = x.mean_axis(axis, true);
-        let centered = x.sub(&mean);
-        let var = centered.square().mean_axis(axis, true);
-        let std = var.add_scalar(self.eps).sqrt();
-        let normed = centered.div(&std);
-        normed
-            .mul(&tape.param(&self.gamma))
-            .add(&tape.param(&self.beta))
-    }
-
-    /// Tape-free forward mirroring [`Self::forward`] kernel for kernel
-    /// (bit-identical output). LayerNorm is stateless, so eval and train
-    /// behaviour coincide.
-    pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        let axis = x.rank() - 1;
-        let mean = ops::mean_axis(x, axis, true);
-        let centered = ops::sub(x, &mean);
-        let var = ops::mean_axis(&ops::square(&centered), axis, true);
-        let std = ops::sqrt(&ops::add_scalar(&var, self.eps));
-        let normed = ops::div(&centered, &std);
-        ops::add(&ops::mul(&normed, &self.gamma.value()), &self.beta.value())
+    /// Normalise `[..., d]` per position over the channel axis. LayerNorm
+    /// is stateless, so eval and train behaviour coincide.
+    pub fn forward<'a, B: Backend<'a>>(&'a self, b: &B, x: &B::Val) -> B::Val {
+        let axis = b.shape(x).len() - 1;
+        let mean = b.mean_axis(x, axis, true);
+        let centered = b.sub(x, &mean);
+        let var = b.mean_axis(&b.square(&centered), axis, true);
+        let std = b.sqrt(&b.add_scalar(&var, self.eps));
+        let normed = b.div(&centered, &std);
+        b.add(&b.mul(&normed, &b.param(&self.gamma)), &b.param(&self.beta))
     }
 
     /// Learnable affine parameters.

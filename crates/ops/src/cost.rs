@@ -14,8 +14,8 @@
 //!   they must equal, bit for bit, what [`cts_tensor::meter`] observes during
 //!   one `forward_eval` of the same operator on the same concrete shape. A
 //!   workspace test (`tests/cost_oracle.rs`) and the unit tests below enforce
-//!   this against randomized genotypes. The traces therefore mirror the eval
-//!   paths kernel by kernel — including which kernels are *free* (shape ops,
+//!   this against randomized genotypes. The traces therefore mirror the operator
+//!   bodies kernel by kernel — including which kernels are *free* (shape ops,
 //!   clones, `sum_all`, `scale_inplace`) and fast paths (same-shape zips,
 //!   ProbSparse's full-attention fallback when `u ≥ L`).
 //! * `dense_flops` is the matmul/conv-class subset of `flops`, used by the
@@ -30,6 +30,7 @@
 //! forgetting a compile error, and the oracle test makes a wrong trace a
 //! test failure.
 
+use crate::attention_ops::INFORMER_FACTOR;
 use crate::meta::{ShapeCtx, ShapeIssue};
 use crate::OpKind;
 use cts_tensor::sym::SymDim;
@@ -37,18 +38,12 @@ use cts_tensor::sym::SymDim;
 /// Every tensor element is an `f32`.
 pub const BYTES_PER_ELEM: u64 = 4;
 
-/// Informer's sampling factor `c` in `u = ⌈c·ln L⌉` (must match
-/// `attention_ops::INFORMER_FACTOR`; `informer_u` replicates the f32 math).
-const INFORMER_FACTOR: f32 = 1.0;
-
-/// The number of active queries Informer's ProbSparse attention selects for
-/// sequence length `l` — the exact `f32` computation of
-/// `prob_sparse_attention_eval`, exposed so cost and runtime can never
-/// disagree about which path (sparse or full fallback) executes.
+/// The number of active queries the Informer operators' ProbSparse
+/// attention selects for sequence length `l` — the runtime's own
+/// [`cts_nn::prob_sparse_u`], so cost and runtime can never disagree about
+/// which path (sparse or full fallback) executes.
 pub fn informer_u(l: u64) -> u64 {
-    let lf = l as f32;
-    let u = ((INFORMER_FACTOR * lf.ln()).ceil() as usize).clamp(1, l as usize);
-    u as u64
+    cts_nn::prob_sparse_u(INFORMER_FACTOR, l as usize) as u64
 }
 
 /// Static resource price of one operator application (or any composition of
@@ -290,7 +285,7 @@ impl Trace {
     }
 
     /// `LayerNorm(d)` eval over `len` total elements (`len / d` rows): the
-    /// exact nine-kernel sequence of `LayerNorm::forward_eval`.
+    /// exact nine-kernel sequence of `LayerNorm::forward`.
     pub fn layernorm(&mut self, len: u64, d: u64) {
         let rows = len.checked_div(d).unwrap_or(0);
         // mean_axis → sum_axis over the channel axis.
@@ -310,7 +305,7 @@ impl Trace {
         self.zip_bcast(len, d, len);
     }
 
-    /// `node_mix_eval`: permute → `support[N,N] · x[B,T,N,D]` → permute.
+    /// `node_mix`: permute → `support[N,N] · x[B,T,N,D]` → permute.
     pub fn node_mix(&mut self, b: u64, n: u64, t: u64, d: u64) {
         let len = b.saturating_mul(n).saturating_mul(t).saturating_mul(d);
         self.alloc(len); // permute to [B,T,N,D]
@@ -318,7 +313,7 @@ impl Trace {
         self.alloc(len); // permute back
     }
 
-    /// One `AttentionLayer::forward_eval` on `[bp, l, d]` (projections plus
+    /// One `AttentionLayer::forward` on `[bp, l, d]` (projections plus
     /// full or ProbSparse attention — the sparse path falls back to full
     /// when `u ≥ l`, exactly like the kernel).
     pub fn attention(&mut self, bp: u64, l: u64, d: u64, probsparse: bool) {
@@ -365,7 +360,7 @@ impl Trace {
         self.alloc(bld);
     }
 
-    /// One LSTM step of `Lstm::step_eval` on `[b, d]` rows, hidden = d.
+    /// One LSTM step of `Lstm::step` on `[b, d]` rows, hidden = d.
     fn lstm_step(&mut self, b: u64, d: u64) {
         let bh = b.saturating_mul(d);
         let b4h = bh.saturating_mul(4);
@@ -388,7 +383,7 @@ impl Trace {
         self.alloc(bh); // h.clone() pushed to outputs
     }
 
-    /// `Lstm::forward_sequence_eval` on `[b, t, d]`, hidden = d.
+    /// `Lstm::forward_sequence` on `[b, t, d]`, hidden = d.
     pub fn lstm(&mut self, b: u64, t: u64, d: u64) {
         let bh = b.saturating_mul(d);
         self.alloc(bh); // h = zeros
@@ -399,7 +394,7 @@ impl Trace {
         self.alloc(b.saturating_mul(t).saturating_mul(d)); // concat
     }
 
-    /// One GRU step of `Gru::step_eval` on `[b, d]` rows, hidden = d.
+    /// One GRU step of `Gru::step` on `[b, d]` rows, hidden = d.
     fn gru_step(&mut self, b: u64, d: u64) {
         let bh = b.saturating_mul(d);
         let b2h = bh.saturating_mul(2);
@@ -424,7 +419,7 @@ impl Trace {
         self.alloc(bh); // h.clone() pushed to outputs
     }
 
-    /// `Gru::forward_sequence_eval` on `[b, t, d]`, hidden = d.
+    /// `Gru::forward_sequence` on `[b, t, d]`, hidden = d.
     pub fn gru(&mut self, b: u64, t: u64, d: u64) {
         self.alloc(b.saturating_mul(d)); // h = zeros
         for _ in 0..t {

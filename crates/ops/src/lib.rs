@@ -25,7 +25,7 @@ mod taxonomy;
 
 pub use attention_ops::{InformerSOp, InformerTOp, TransformerSOp, TransformerTOp};
 pub use basic::{Conv1dOp, GdccOp, IdentityOp, ZeroOp};
-pub use context::{node_mix, node_mix_eval, GraphContext};
+pub use context::{node_mix, GraphContext};
 pub use cost::{arena_bytes, informer_u, CostCtx, OpCost, Trace, BYTES_PER_ELEM};
 pub use gcn_ops::{ChebGcnOp, DgcnOp};
 pub use kinds::{OpFamily, OpKind};

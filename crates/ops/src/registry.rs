@@ -4,23 +4,57 @@ use crate::{
     ChebGcnOp, Conv1dOp, DgcnOp, GdccOp, GraphContext, GruOp, IdentityOp, InformerSOp,
     InformerTOp, LstmOp, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
 };
-use cts_autograd::{Parameter, Tape, Var};
+use cts_autograd::{Backend, Eager, EagerVal, Parameter, Tape, Var};
 use cts_nn::LayerNorm;
 use cts_tensor::Tensor;
 use rand::Rng;
 
 /// A spatio-temporal operator: `[B,N,T,D] → [B,N,T,D]`.
+///
+/// Each operator's body is written once, generic over
+/// [`cts_autograd::Backend`]. [`Self::forward`] runs it on the tape;
+/// [`Self::forward_eval`] runs the same body on [`Eager`] for compiled
+/// inference plans, so the two outputs are bit-identical and weights are
+/// read in place, never copied.
 pub trait StOperator {
-    /// Apply the operator.
+    /// Apply the operator on the tape.
     fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var;
-    /// Tape-free forward for compiled inference plans. Implementations MUST
-    /// call the same kernels in the same order as [`Self::forward`] so the
-    /// output is bit-identical (weights are read in place, never copied).
+    /// Apply the operator tape-free, for compiled inference plans.
     fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor;
     /// The operator's trainable weights (excluding shared context params).
     fn parameters(&self) -> Vec<Parameter>;
     /// Which kind this operator instantiates.
     fn kind(&self) -> OpKind;
+}
+
+/// The single generic body behind an operator's [`StOperator`] entry
+/// points. A separate trait because `dyn StOperator` cannot carry a
+/// generic method.
+pub trait OpBody {
+    /// Which kind this operator instantiates.
+    const KIND: OpKind;
+    /// The operator body.
+    fn apply<'a, B: Backend<'a>>(&'a self, b: &'a B, x: &B::Val, ctx: &'a GraphContext) -> B::Val;
+    /// The operator's trainable weights.
+    fn weights(&self) -> Vec<Parameter>;
+}
+
+impl<T: OpBody> StOperator for T {
+    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
+        self.apply(tape, x, ctx)
+    }
+
+    fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
+        self.apply(&Eager, &EagerVal::Borrowed(x), ctx).into_tensor()
+    }
+
+    fn parameters(&self) -> Vec<Parameter> {
+        self.weights()
+    }
+
+    fn kind(&self) -> OpKind {
+        T::KIND
+    }
 }
 
 /// The paper's compact operator set `O` (§3.2.3): GDCC, INF-T, DGCN, INF-S
@@ -45,33 +79,32 @@ pub fn full_set() -> Vec<OpKind> {
 /// ReLU → op → LayerNorm wrapper applied to every parametric operator for
 /// training stability (the paper follows DARTS's ReLU-op-BN ordering;
 /// LayerNorm substitutes for BN, see DESIGN.md).
-struct ReluNormed {
-    inner: Box<dyn StOperator>,
+struct ReluNormed<T> {
+    inner: T,
     norm: LayerNorm,
 }
 
-impl StOperator for ReluNormed {
-    fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var {
-        let activated = x.relu();
-        let out = self.inner.forward(tape, &activated, ctx);
-        self.norm.forward(tape, &out)
+impl<T: OpBody> OpBody for ReluNormed<T> {
+    const KIND: OpKind = T::KIND;
+
+    fn apply<'a, B: Backend<'a>>(&'a self, b: &'a B, x: &B::Val, ctx: &'a GraphContext) -> B::Val {
+        let out = self.inner.apply(b, &b.relu(x), ctx);
+        self.norm.forward(b, &out)
     }
 
-    fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
-        let activated = cts_tensor::ops::relu(x);
-        let out = self.inner.forward_eval(&activated, ctx);
-        self.norm.forward_eval(&out)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut v = self.inner.parameters();
+    fn weights(&self) -> Vec<Parameter> {
+        let mut v = self.inner.weights();
         v.extend(self.norm.parameters());
         v
     }
+}
 
-    fn kind(&self) -> OpKind {
-        self.inner.kind()
-    }
+/// Box `inner` inside its ReLU-op-norm wrapper.
+fn normed<T: OpBody + 'static>(inner: T, name: &str, d: usize) -> Box<dyn StOperator> {
+    Box::new(ReluNormed {
+        inner,
+        norm: LayerNorm::new(&format!("{name}.norm"), d),
+    })
 }
 
 /// Instantiate an operator of `kind` with channel width `d`.
@@ -92,24 +125,20 @@ pub fn build_operator(
     gcn_k: usize,
     adaptive: bool,
 ) -> Box<dyn StOperator> {
-    let inner: Box<dyn StOperator> = match kind {
-        OpKind::Zero => return Box::new(ZeroOp),
-        OpKind::Identity => return Box::new(IdentityOp),
-        OpKind::Conv1d => Box::new(Conv1dOp::new(rng, name, d)),
-        OpKind::Gdcc => Box::new(GdccOp::new(rng, name, d)),
-        OpKind::Lstm => Box::new(LstmOp::new(rng, name, d)),
-        OpKind::Gru => Box::new(GruOp::new(rng, name, d)),
-        OpKind::TransformerT => Box::new(TransformerTOp::new(rng, name, d)),
-        OpKind::InformerT => Box::new(InformerTOp::new(rng, name, d)),
-        OpKind::ChebGcn => Box::new(ChebGcnOp::new(rng, name, d, gcn_k)),
-        OpKind::Dgcn => Box::new(DgcnOp::new(rng, name, d, gcn_k, adaptive)),
-        OpKind::TransformerS => Box::new(TransformerSOp::new(rng, name, d)),
-        OpKind::InformerS => Box::new(InformerSOp::new(rng, name, d)),
-    };
-    Box::new(ReluNormed {
-        inner,
-        norm: LayerNorm::new(&format!("{name}.norm"), d),
-    })
+    match kind {
+        OpKind::Zero => Box::new(ZeroOp),
+        OpKind::Identity => Box::new(IdentityOp),
+        OpKind::Conv1d => normed(Conv1dOp::new(rng, name, d), name, d),
+        OpKind::Gdcc => normed(GdccOp::new(rng, name, d), name, d),
+        OpKind::Lstm => normed(LstmOp::new(rng, name, d), name, d),
+        OpKind::Gru => normed(GruOp::new(rng, name, d), name, d),
+        OpKind::TransformerT => normed(TransformerTOp::new(rng, name, d), name, d),
+        OpKind::InformerT => normed(InformerTOp::new(rng, name, d), name, d),
+        OpKind::ChebGcn => normed(ChebGcnOp::new(rng, name, d, gcn_k), name, d),
+        OpKind::Dgcn => normed(DgcnOp::new(rng, name, d, gcn_k, adaptive), name, d),
+        OpKind::TransformerS => normed(TransformerSOp::new(rng, name, d), name, d),
+        OpKind::InformerS => normed(InformerSOp::new(rng, name, d), name, d),
+    }
 }
 
 #[cfg(test)]

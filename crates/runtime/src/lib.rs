@@ -10,9 +10,10 @@
 //! tensor kernels directly. After [`ExecPlan::prewarm`], a steady-state
 //! forward performs **zero** heap allocations (all buffers cycle through the
 //! tensor arena) and is bit-identical to the tape forward by construction:
-//! each op's `forward_eval` invokes the same kernels in the same order as
-//! its tape `forward`, reading weights in place so retraining updates flow
-//! through without recompilation.
+//! each op's `forward_eval` runs the op's one body, generic over the
+//! autograd backend trait, on the tape-free eager backend, which invokes
+//! the same kernels in the same order as the tape and reads weights in
+//! place so retraining updates flow through without recompilation.
 //!
 //! On top of the plan sit the serving pieces: a [`PlanRegistry`] keyed by
 //! model id (with a canary gate that parity-checks new plans against a

@@ -1,6 +1,7 @@
 //! Shape-manipulating operations: permute, concat, slice, index-select.
 
 use crate::arena;
+use std::borrow::Borrow;
 use crate::shape::{numel, Shape};
 use crate::Tensor;
 
@@ -49,12 +50,13 @@ pub fn permute_grad(grad: &Tensor, perm: &[usize]) -> Tensor {
 }
 
 /// Concatenate tensors along `axis`; all other dims must match.
-pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
+pub fn concat<T: Borrow<Tensor>>(parts: &[T], axis: usize) -> Tensor {
     assert!(!parts.is_empty());
-    let first = parts[0].shape();
+    let first = parts[0].borrow().shape();
     let mut out_shape = Shape::from_slice(first);
-    out_shape[axis] = parts.iter().map(|p| p.shape()[axis]).sum();
+    out_shape[axis] = parts.iter().map(|p| p.borrow().shape()[axis]).sum();
     for p in parts {
+        let p = p.borrow();
         for (d, (&a, &b)) in p.shape().iter().zip(first.iter()).enumerate() {
             assert!(d == axis || a == b, "concat dim {} mismatch", d);
         }
@@ -65,6 +67,7 @@ pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
     let mut out = arena::take_zeroed(numel(&out_shape));
     let mut offset = 0;
     for p in parts {
+        let p = p.borrow();
         let len = p.shape()[axis];
         for o in 0..outer {
             let src = o * len * inner;

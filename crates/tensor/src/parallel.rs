@@ -12,16 +12,13 @@
 //! Shares execute on a lazily-started persistent worker pool
 //! ([`crate::pool`]): workers are spawned on the first sufficiently large
 //! kernel, then park on a condvar between jobs, so steady-state dispatch
-//! is a wake/sleep round-trip instead of an OS thread spawn per kernel
-//! (PR 1's scoped-thread dispatch cost tens of microseconds per launch —
-//! ruinous for the search loop's thousands of small kernels per epoch).
-//! The old spawn-per-kernel path is retained as a benchmark baseline:
-//! select it with [`set_dispatch`] or `CTS_DISPATCH=spawn`.
+//! is a wake/sleep round-trip instead of an OS thread spawn per kernel.
+//! A dispatch allocates nothing: shares are carved off the output (or one
+//! arena-backed accumulator buffer) as workers claim them.
 //!
-//! Dispatch mode affects scheduling only. Partitioning ([`share`]) and
-//! result combination (fixed worker order) are identical in both modes,
-//! so results are bit-identical between pool and spawn dispatch, at any
-//! thread count, and across pool teardown/re-init.
+//! Partitioning ([`share`]) and result combination (fixed share order)
+//! depend only on the unit and thread counts, so results are
+//! bit-identical at any thread count and across pool teardown/re-init.
 //!
 //! # Thread count
 //!
@@ -55,7 +52,7 @@
 
 use crate::{arena, pool};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How a kernel's output is split across workers.
 ///
@@ -312,53 +309,6 @@ pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(if n == 0 { UNSET } else { n }, Ordering::Relaxed);
 }
 
-/// How parallel shares reach worker threads. Results are bit-identical in
-/// both modes; only scheduling overhead differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Persistent worker pool (default): workers park between kernels.
-    Pool,
-    /// PR 1 behaviour: spawn scoped threads per kernel call. Kept as the
-    /// benchmark baseline for measuring dispatch overhead.
-    Spawn,
-}
-
-/// 0 = unset (follow `CTS_DISPATCH` env, default pool), 1 = pool, 2 = spawn.
-static DISPATCH_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static ENV_DISPATCH: OnceLock<Dispatch> = OnceLock::new();
-
-fn env_dispatch() -> Dispatch {
-    *ENV_DISPATCH.get_or_init(|| {
-        match std::env::var("CTS_DISPATCH").as_deref() {
-            Ok("spawn") => Dispatch::Spawn,
-            _ => Dispatch::Pool,
-        }
-    })
-}
-
-/// The dispatch mode kernels will use for sufficiently large work.
-pub fn dispatch() -> Dispatch {
-    match DISPATCH_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Dispatch::Pool,
-        2 => Dispatch::Spawn,
-        _ => env_dispatch(),
-    }
-}
-
-/// Override the dispatch mode process-wide (`None` restores the
-/// `CTS_DISPATCH` env default). Benchmarks use this to compare pool
-/// dispatch against the spawn-per-kernel baseline in one process.
-pub fn set_dispatch(d: Option<Dispatch>) {
-    DISPATCH_OVERRIDE.store(
-        match d {
-            None => 0,
-            Some(Dispatch::Pool) => 1,
-            Some(Dispatch::Spawn) => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
 /// Tear down the persistent pool (joining its workers); the next parallel
 /// kernel lazily re-creates it. Results before and after a reset are
 /// bit-identical — the pool holds no numeric state.
@@ -387,33 +337,10 @@ fn share(units: usize, threads: usize, w: usize) -> usize {
     units / threads + usize::from(w < units % threads)
 }
 
-/// A pre-assigned work share, handed to exactly one worker. The mutex is
-/// uncontended (each worker takes only its own slot); it exists so the
-/// share's `&mut` chunk can cross the closure boundary without `unsafe`.
-type Slot<'a, T> = Mutex<Option<T>>;
-
-fn take_slot<T>(slot: &Slot<'_, T>) -> Option<T> {
-    slot.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-}
-
-/// Run `task(0..n_shares)` under the active dispatch mode.
-fn execute(n_shares: usize, task: &(dyn Fn(usize) + Sync)) {
-    match dispatch() {
-        Dispatch::Pool => pool::run(n_shares, task),
-        Dispatch::Spawn => {
-            crossbeam::thread::scope(|s| {
-                for w in 1..n_shares {
-                    s.spawn(move |_| task(w));
-                }
-                task(0);
-            })
-            // invariant: scope() only errs when a worker panicked;
-            // re-raising the panic is the intended behaviour.
-            .expect("parallel kernel worker panicked");
-        }
-    }
+/// Poison-tolerant lock: a panicking kernel closure must not wedge later
+/// kernels.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Partition `out` into contiguous units of `unit_len` elements and run
@@ -442,36 +369,31 @@ where
         crate::meter::add_exec(work, out.len());
         return;
     }
-    // Deal out contiguous chunks (deterministic: depends only on units
-    // and thread count), then execute the shares on the dispatch layer.
-    let mut slots: Vec<Slot<'_, (usize, &mut [f32])>> = Vec::with_capacity(threads);
-    {
-        let mut rest = out;
-        let mut first = 0usize;
-        for w in 0..threads {
-            let n_units = share(units, threads, w);
-            if n_units == 0 {
-                break;
-            }
-            let (head, tail) = rest.split_at_mut(n_units * unit_len);
-            rest = tail;
-            slots.push(Mutex::new(Some((first, head))));
-            first += n_units;
-        }
-    }
-    let f = &f;
-    execute(slots.len(), &|w| {
-        if let Some((start, chunk)) = take_slot(&slots[w]) {
-            f(start, chunk);
-        }
+    // Each task claims the next share in order: (share index, first unit,
+    // unclaimed rest of `out`). Share boundaries depend only on `units` and
+    // `threads`; which worker runs a share cannot change the writes. The
+    // mutex lets the `&mut` chunks cross the closure boundary without
+    // `unsafe`; it is held only while a share is split off.
+    let cursor = Mutex::new((0usize, 0usize, out));
+    pool::run(threads, &|_| {
+        let (first, chunk) = {
+            let mut c = lock(&cursor);
+            let (w, first, rest) = &mut *c;
+            let n_units = share(units, threads, *w);
+            let (head, tail) = std::mem::take(rest).split_at_mut(n_units * unit_len);
+            let start = *first;
+            (*w, *first, *rest) = (*w + 1, start + n_units, tail);
+            (start, head)
+        };
+        f(first, chunk);
     });
     spec.stats.record(t, units as u64, true);
     crate::meter::add_exec(work, units * unit_len);
 }
 
-/// Parallel accumulation: each worker owns a zeroed `acc_len` buffer, calls
-/// `f(unit, acc)` for its run of units, and the per-worker buffers are summed
-/// (in worker order) into the returned vector.
+/// Parallel accumulation: each share owns a zeroed `acc_len` accumulator,
+/// calls `f(unit, acc)` for its run of units, and the accumulators are
+/// summed (in share order) into the returned vector.
 ///
 /// `spec` must be a kernel registered in [`kernels::ALL`] declaring
 /// [`Reduction::OrderedPartialSums`]; unregistered specs panic.
@@ -490,7 +412,7 @@ where
     check_spec(spec, Reduction::OrderedPartialSums);
     let t = cts_obs::timer();
     let threads = num_threads().min(units.max(1));
-    if threads <= 1 || work < PAR_THRESHOLD {
+    if threads <= 1 || work < PAR_THRESHOLD || acc_len == 0 {
         let mut acc = arena::take_zeroed(acc_len);
         for u in 0..units {
             f(u, &mut acc);
@@ -499,46 +421,38 @@ where
         crate::meter::add_exec(work, acc_len);
         return acc;
     }
-    // Accumulators are allocated (from the caller's arena) and summed on
-    // the calling thread; workers only fill the slices handed to them, so
-    // buffers never migrate between per-thread arenas.
-    let mut partials: Vec<Vec<f32>> = Vec::with_capacity(threads);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(threads);
-    let mut first = 0usize;
-    for w in 0..threads {
-        let n_units = share(units, threads, w);
-        if n_units == 0 {
-            break;
-        }
-        partials.push(arena::take_zeroed(acc_len));
-        ranges.push((first, n_units));
-        first += n_units;
-    }
+    // One arena buffer holds every share's accumulator, row `w` for share
+    // `w`. It is taken from and summed on the calling thread; workers only
+    // fill the rows handed to them, so buffers never migrate between
+    // per-thread arenas.
+    let mut partials = arena::take_zeroed(threads * acc_len);
     {
-        let slots: Vec<Slot<'_, (usize, usize, &mut [f32])>> = partials
-            .iter_mut()
-            .zip(ranges.iter())
-            .map(|(acc, &(start, n))| Mutex::new(Some((start, n, acc.as_mut_slice()))))
-            .collect();
-        let f = &f;
-        execute(slots.len(), &|w| {
-            if let Some((start, n, acc)) = take_slot(&slots[w]) {
-                for u in start..start + n {
-                    f(u, acc);
-                }
+        // (share index, first unit, unclaimed accumulator rows)
+        let cursor = Mutex::new((0usize, 0usize, partials.as_mut_slice()));
+        pool::run(threads, &|_| {
+            let (start, n_units, acc) = {
+                let mut c = lock(&cursor);
+                let (w, first, rest) = &mut *c;
+                let n_units = share(units, threads, *w);
+                let (head, tail) = std::mem::take(rest).split_at_mut(acc_len);
+                let start = *first;
+                (*w, *first, *rest) = (*w + 1, start + n_units, tail);
+                (start, n_units, head)
+            };
+            for u in start..start + n_units {
+                f(u, acc);
             }
         });
     }
-    let mut it = partials.into_iter();
-    // invariant: threads >= 2 here and units >= threads, so at least one
-    // share (and one accumulator) exists.
-    let mut acc = it.next().expect("at least one partial accumulator");
-    for p in it {
-        // Ascending-worker combine; simd::accum keeps one independent
+    let mut rows = partials.chunks_exact(acc_len);
+    // invariant: threads >= 2 and acc_len > 0 here, so row 0 exists.
+    let mut acc = arena::take_copied(rows.next().expect("at least one partial accumulator"));
+    for p in rows {
+        // Ascending-share combine; simd::accum keeps one independent
         // vertical chain per element, so the order is unchanged.
-        crate::simd::accum(&mut acc, &p);
-        arena::recycle(p);
+        crate::simd::accum(&mut acc, p);
     }
+    arena::recycle(partials);
     spec.stats.record(t, units as u64, true);
     crate::meter::add_exec(work, acc_len);
     acc
@@ -578,16 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_override_roundtrip() {
-        let _g = LOCK.lock().unwrap();
-        set_dispatch(Some(Dispatch::Spawn));
-        assert_eq!(dispatch(), Dispatch::Spawn);
-        set_dispatch(Some(Dispatch::Pool));
-        assert_eq!(dispatch(), Dispatch::Pool);
-        set_dispatch(None);
-    }
-
-    #[test]
     fn for_units_covers_every_unit_once() {
         let _g = LOCK.lock().unwrap();
         for threads in [1, 2, 5] {
@@ -605,25 +509,6 @@ mod tests {
             assert_eq!(out, expect, "threads = {threads}");
         }
         set_num_threads(0);
-    }
-
-    #[test]
-    fn for_units_covers_every_unit_once_in_spawn_mode() {
-        let _g = LOCK.lock().unwrap();
-        set_dispatch(Some(Dispatch::Spawn));
-        set_num_threads(3);
-        let mut out = vec![0.0f32; 7 * 3];
-        for_units(&kernels::EW_UNARY, &mut out, 3, PAR_THRESHOLD * 2, |first, chunk| {
-            for (u, slot) in chunk.chunks_mut(3).enumerate() {
-                for s in slot.iter_mut() {
-                    *s += (first + u) as f32;
-                }
-            }
-        });
-        let expect: Vec<f32> = (0..7).flat_map(|u| [u as f32; 3]).collect();
-        assert_eq!(out, expect);
-        set_num_threads(0);
-        set_dispatch(None);
     }
 
     #[test]

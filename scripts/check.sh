@@ -34,6 +34,7 @@ echo "==> static cost model gate"
 # and the compiled-in LatencyModel::default() coefficients must sit
 # within 3x of the refit — a kernel-speed change (e.g. new SIMD paths)
 # that is not re-calibrated into the defaults fails here.
+cargo build --release --offline -p cts-bench --bin bench_cost
 BENCH_OUT_DIR=target ./target/release/bench_cost --gate
 
 echo "==> cargo test -q (workspace)"
@@ -45,6 +46,11 @@ echo "==> cargo test -q (workspace, CTS_SIMD=off)"
 # paths disabled, and the proptests in parallel_consistency.rs separately
 # pin vector and scalar outputs to identical bits.
 CTS_SIMD=off cargo test -q --workspace --offline
+
+echo "==> cargo test -q (workspace, CTS_NUM_THREADS=1)"
+# Thread-count contract: one worker takes the exact serial path, and the
+# whole suite must pass there as well as at the host's default width.
+CTS_NUM_THREADS=1 cargo test -q --workspace --offline
 
 echo "==> fault-injection suite (explicit)"
 cargo test --offline --test fault_injection -- --nocapture
@@ -59,14 +65,21 @@ cargo test --offline --test serve_fault
 echo "==> compiled-plan parity gate"
 # The tape-free ExecPlan forward must stay bit-identical to the tape
 # forward (randomized genotypes/batch sizes, live-weight tracking) and
-# allocate nothing at steady state (tests/compiled_parity.rs).
+# allocate nothing at steady state (tests/compiled_parity.rs) — at one
+# worker and at two, where kernels above PAR_THRESHOLD run on the pool.
 cargo test --offline --test compiled_parity
+for n in 1 2; do
+  CTS_NUM_THREADS=$n cargo test --offline --test compiled_parity
+done
 
 echo "==> allocation-regression gate"
 # A steady-state supernet train step must stay within the pinned
 # system-allocator budget (tests/alloc_budget.rs); catches per-step Vec
 # churn or arena bypasses creeping back into the hot path.
 cargo test --offline --test alloc_budget
+for n in 1 2; do
+  CTS_NUM_THREADS=$n cargo test --offline --test alloc_budget
+done
 
 echo "==> observability gate"
 # Metrics collection must be a pure observer: bit-identical genotype and

@@ -4,11 +4,12 @@
 //! forward must perform **zero** system allocations, with every buffer
 //! served from the warmed arena.
 //!
-//! Bit-exactness holds by construction: every `forward_eval` mirror
-//! invokes exactly the same `cts_tensor::ops` kernels in exactly the
-//! same order as the tape path, and plans read the live `Parameter`
-//! cells rather than snapshots. This suite pins both halves of that
-//! contract; `scripts/check.sh` runs it as part of the tier-1 gate, and
+//! Bit-exactness holds by construction: each operator and layer body is
+//! written once, generic over `cts_autograd::Backend`, so the plan's
+//! `Eager` run invokes exactly the same `cts_tensor::ops` kernels in
+//! exactly the same order as the tape run, and plans read the live
+//! `Parameter` cells rather than snapshots. This suite pins both halves
+//! of that contract; `scripts/check.sh` runs it as part of the tier-1 gate, and
 //! the `verify_space` sweep repeats the parity check on every accepted
 //! candidate of the discrete space.
 
@@ -20,7 +21,7 @@ use autocts::{BlockGenotype, DerivedModel, Genotype, SearchConfig};
 use cts_autograd::Tape;
 use cts_data::{batches_from_windows, build_windows, generate, DatasetSpec};
 use cts_nn::Forecaster;
-use cts_ops::compact_set;
+use cts_ops::full_set;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Serializes the tests: the allocation counters are process-global.
@@ -73,7 +74,9 @@ fn compiled_forward_is_bit_identical_to_tape() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     cts_obs::set_metrics(Some(false));
     let (cfg, spec, data, windows) = fixture();
-    let ops = compact_set();
+    // Every kind of the full Table 1 set: the first trials cover each kind
+    // once, in order, and the rest draw at random.
+    let ops = full_set();
     let mut rng = SmallRng::seed_from_u64(42);
 
     for trial in 0..12usize {
@@ -81,7 +84,12 @@ fn compiled_forward_is_bit_identical_to_tape() {
             m: 3,
             edges: SLOTS
                 .iter()
-                .map(|&(f, t)| (f, t, ops[rng.gen_range(0..ops.len())]))
+                .enumerate()
+                .map(|(j, &(f, t))| {
+                    let slot = trial * SLOTS.len() + j;
+                    let kind = ops.get(slot).copied();
+                    (f, t, kind.unwrap_or_else(|| ops[rng.gen_range(0..ops.len())]))
+                })
                 .collect(),
         };
         let backbone = if rng.gen_range(0..2) == 0 { vec![0, 0] } else { vec![0, 1] };
