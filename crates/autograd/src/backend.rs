@@ -1,6 +1,7 @@
-//! One kernel surface, two executions.
+//! One kernel surface, any number of executions.
 //!
-//! Layer and operator bodies are written once, generic over [`Backend`]:
+//! Layer and operator bodies are written once, generic over [`Backend`].
+//! This crate provides two backends:
 //!
 //! * [`Tape`] records every kernel as a [`Var`] node, for training and
 //!   search;
@@ -9,8 +10,11 @@
 //!   read in place ([`EagerVal::Param`], [`EagerVal::Borrowed`]), never
 //!   copied.
 //!
-//! Both backends dispatch the same `cts_tensor::ops` kernel for every
-//! method, so one body yields bit-identical values on either backend.
+//! Both dispatch the same `cts_tensor::ops` kernel for every method, so one
+//! body yields bit-identical values on either backend. No method needs
+//! tensor values to decide what runs next, so a backend whose values are
+//! shapes only can run the same body to price it (`cts-ops` does this for
+//! static cost analysis).
 //!
 //! The lifetime `'a` bounds what an [`Eager`] value may borrow: the
 //! parameters, constants and inputs a body reads without copying.
@@ -19,6 +23,7 @@ use crate::{Parameter, Tape, Var};
 use cts_tensor::{ops, Shape, Tensor};
 use std::borrow::Borrow;
 use std::cell::Ref;
+use std::cmp::Ordering;
 use std::ops::Deref;
 
 /// The kernels a layer or operator body may call.
@@ -33,20 +38,17 @@ pub trait Backend<'a> {
 
     /// A non-trainable input (data, masks, graph supports).
     fn constant(&self, t: &'a Tensor) -> Self::Val;
-    /// A non-trainable input the body built itself.
-    fn constant_owned(&self, t: Tensor) -> Self::Val;
+    /// A non-trainable tensor of `shape` with every element `value`.
+    fn fill(&self, shape: &[usize], value: f32) -> Self::Val;
     /// A trainable weight.
     fn param(&self, p: &'a Parameter) -> Self::Val;
     /// Shape of `x`.
     fn shape(&self, x: &Self::Val) -> Shape;
-    /// Run `f` on the forward values of `a` and `b`; nothing is recorded,
-    /// so no gradient flows through what `f` computes.
-    fn with_values<R>(
-        &self,
-        a: &Self::Val,
-        b: &Self::Val,
-        f: impl FnOnce(&Tensor, &Tensor) -> R,
-    ) -> R;
+    /// ProbSparse query selection: write into `sel`, ascending, the `u`
+    /// queries of `q [B', L, D]` with the largest batch-averaged sparsity
+    /// measurement `max_j s_ij − mean_j s_ij` over the scores `q·kᵀ`.
+    /// Nothing is recorded, so no gradient flows through the choice.
+    fn top_queries(&self, q: &Self::Val, k: &Self::Val, u: usize, sel: &mut Vec<usize>);
 
     /// `a + b` (broadcasting).
     fn add(&self, a: &Self::Val, b: &Self::Val) -> Self::Val;
@@ -93,6 +95,23 @@ pub trait Backend<'a> {
     fn temporal_conv(&self, x: &Self::Val, w: &Self::Val, dilation: usize) -> Self::Val;
 }
 
+/// [`Backend::top_queries`] on values: six kernels (transpose, matmul,
+/// max, mean, subtract, batch mean), then a stable descending sort of the
+/// query indices by score.
+fn select_top_queries(q: &Tensor, k: &Tensor, u: usize, sel: &mut Vec<usize>) {
+    let scores = ops::matmul(q, &ops::transpose_last2(k)); // [B', L, L]
+    let max = ops::max_axis(&scores, 2, false); // [B', L]
+    let mean = ops::mean_axis(&scores, 2, false); // [B', L]
+    let m = ops::sub(&max, &mean);
+    let batch_avg = ops::mean_axis(&m, 0, false); // [L]
+    let avg = batch_avg.data();
+    sel.clear();
+    sel.extend(0..avg.len());
+    sel.sort_by(|&a, &b| avg[b].partial_cmp(&avg[a]).unwrap_or(Ordering::Equal));
+    sel.truncate(u);
+    sel.sort_unstable();
+}
+
 /// The tape's same-named `Var` methods, one recorded node per call.
 macro_rules! tape_kernels {
     (unary: $($f:ident),*) => { $(fn $f(&self, a: &Var) -> Var { a.$f() })* };
@@ -115,8 +134,8 @@ impl<'a> Backend<'a> for Tape {
     fn constant(&self, t: &'a Tensor) -> Var {
         Tape::constant(self, t.clone())
     }
-    fn constant_owned(&self, t: Tensor) -> Var {
-        Tape::constant(self, t)
+    fn fill(&self, shape: &[usize], value: f32) -> Var {
+        Tape::constant(self, Tensor::full(shape, value))
     }
     fn param(&self, p: &'a Parameter) -> Var {
         Tape::param(self, p)
@@ -124,8 +143,8 @@ impl<'a> Backend<'a> for Tape {
     fn shape(&self, x: &Var) -> Shape {
         x.shape()
     }
-    fn with_values<R>(&self, a: &Var, b: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
-        a.with_values2(b, f)
+    fn top_queries(&self, q: &Var, k: &Var, u: usize, sel: &mut Vec<usize>) {
+        q.with_values2(k, |q, k| select_top_queries(q, k, u, sel));
     }
     tape_kernels!(unary: neg, relu, sigmoid, tanh, sqrt, square, softmax_last);
     tape_kernels!(binary: add, sub, mul, div, matmul);
@@ -218,8 +237,8 @@ impl<'a> Backend<'a> for Eager {
     fn constant(&self, t: &'a Tensor) -> EagerVal<'a> {
         EagerVal::Borrowed(t)
     }
-    fn constant_owned(&self, t: Tensor) -> EagerVal<'a> {
-        EagerVal::Owned(t)
+    fn fill(&self, shape: &[usize], value: f32) -> EagerVal<'a> {
+        EagerVal::Owned(Tensor::full(shape, value))
     }
     fn param(&self, p: &'a Parameter) -> EagerVal<'a> {
         EagerVal::Param(p.value())
@@ -227,13 +246,8 @@ impl<'a> Backend<'a> for Eager {
     fn shape(&self, x: &EagerVal<'a>) -> Shape {
         x.shape().into()
     }
-    fn with_values<R>(
-        &self,
-        a: &EagerVal<'a>,
-        b: &EagerVal<'a>,
-        f: impl FnOnce(&Tensor, &Tensor) -> R,
-    ) -> R {
-        f(a, b)
+    fn top_queries(&self, q: &EagerVal<'a>, k: &EagerVal<'a>, u: usize, sel: &mut Vec<usize>) {
+        select_top_queries(q, k, u, sel);
     }
     eager_kernels!(unary: neg, relu, sigmoid, tanh, sqrt, square, softmax_last);
     eager_kernels!(binary: add, sub, mul, div, matmul);

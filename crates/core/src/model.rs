@@ -13,7 +13,7 @@ use cts_autograd::{Parameter, Tape, Var};
 use cts_data::{DatasetSpec, Scaler, Task};
 use cts_graph::SensorGraph;
 use cts_nn::{Forecaster, Linear};
-use cts_ops::{build_operator, GraphContext, StOperator};
+use cts_ops::{build_operator, project, GraphContext, StOperator};
 use cts_runtime::{BlockPlan, ExecPlan, PlanError, PlanSpec};
 use cts_tensor::Tensor;
 use rand::Rng;
@@ -82,15 +82,7 @@ impl Scaffold {
 
     /// Output layer over the merged backbone representation `[B,N,T,D]`.
     fn project(&self, tape: &Tape, merged: &Var) -> Var {
-        let s = merged.shape();
-        let (b, n) = (s[0], s[1]);
-        let flat = merged
-            .relu()
-            .reshape(&[b, n, self.input_len * self.d_model]);
-        self.output
-            .forward(tape, &flat)
-            .scale(self.out_scale)
-            .add_scalar(self.out_shift)
+        project(tape, merged, &self.output, self.out_scale, self.out_shift)
     }
 
     fn parameters(&self) -> Vec<Parameter> {

@@ -5,7 +5,7 @@
 //! attention (Table 1, Eqs. 12–13 and 16–17).
 
 use cts_autograd::{Backend, Parameter};
-use cts_tensor::{ops, Tensor};
+use cts_tensor::Tensor;
 use rand::Rng;
 use std::cell::RefCell;
 
@@ -50,14 +50,14 @@ pub fn scaled_dot_attention<'a, B: Backend<'a>>(
     b.matmul(&b.softmax_last(&scores), v)
 }
 
-/// Index scratch (idx, sel, nonsel, inv) for ProbSparse query selection.
-type SparseScratch = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>);
+/// Index scratch (sel, nonsel, inv) for ProbSparse query selection.
+type SparseScratch = (Vec<usize>, Vec<usize>, Vec<usize>);
 
 thread_local! {
     /// Reused across ProbSparse forwards so a steady-state compiled plan
     /// performs no per-forward `Vec` allocation.
     static SPARSE_SCRATCH: RefCell<SparseScratch> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// ProbSparse attention: only the top-`u` queries (by the max-mean sparsity
@@ -82,9 +82,9 @@ pub fn prob_sparse_attention<'a, B: Backend<'a>>(
     }
     SPARSE_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
-        let (idx, sel, nonsel, inv) = &mut *scratch;
+        let (sel, nonsel, inv) = &mut *scratch;
         // Sparsity measurement on detached values: M(q_i) = max_j s_ij − mean_j s_ij.
-        b.with_values(q, k, |q, k| top_queries(q, k, u, idx, sel));
+        b.top_queries(q, k, u, sel);
         nonsel.clear();
         nonsel.extend((0..l).filter(|i| !sel.contains(i)));
 
@@ -95,7 +95,7 @@ pub fn prob_sparse_attention<'a, B: Backend<'a>>(
         // Lazy queries output mean(V) (the Informer "self-attention
         // distilling" default for the non-causal case).
         let v_mean = b.mean_axis(v, 1, true); // [B', 1, D]
-        let v_rep = b.mul(&v_mean, &b.constant_owned(Tensor::ones([1, l - u, 1]))); // [B', L-u, D]
+        let v_rep = b.mul(&v_mean, &b.fill(&[1, l - u, 1], 1.0)); // [B', L-u, D]
 
         // Reassemble rows in original order via an inverse gather.
         let stacked = b.concat(&[attn_sel, v_rep], 1); // rows: sel ++ nonsel
@@ -106,26 +106,6 @@ pub fn prob_sparse_attention<'a, B: Backend<'a>>(
         }
         b.index_select(&stacked, 1, inv)
     })
-}
-
-/// Pick the `u` query indices with the largest batch-averaged max-mean
-/// sparsity measurement, writing them (ascending) into `sel`.
-fn top_queries(q: &Tensor, k: &Tensor, u: usize, idx: &mut Vec<usize>, sel: &mut Vec<usize>) {
-    let scores = ops::matmul(q, &ops::transpose_last2(k)); // [B', L, L]
-    let max = ops::max_axis(&scores, 2, false); // [B', L]
-    let mean = ops::mean_axis(&scores, 2, false); // [B', L]
-    let m = ops::sub(&max, &mean);
-    let batch_avg = ops::mean_axis(&m, 0, false); // [L]
-    idx.clear();
-    idx.extend(0..batch_avg.len());
-    idx.sort_by(|&a, &b| {
-        batch_avg.data()[b]
-            .partial_cmp(&batch_avg.data()[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    sel.clear();
-    sel.extend_from_slice(&idx[..u]);
-    sel.sort_unstable();
 }
 
 /// A self-attention layer with learned Q/K/V projections.
@@ -176,7 +156,7 @@ impl AttentionLayer {
 mod tests {
     use super::*;
     use cts_autograd::Tape;
-    use cts_tensor::init;
+    use cts_tensor::{init, ops};
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn rand_x(rng: &mut impl Rng, b: usize, l: usize, d: usize) -> Tensor {

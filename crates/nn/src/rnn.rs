@@ -7,7 +7,6 @@
 
 use crate::Linear;
 use cts_autograd::{Backend, Parameter};
-use cts_tensor::Tensor;
 use rand::Rng;
 
 /// A long short-term memory layer over `[B', T, D]`.
@@ -49,7 +48,7 @@ impl Lstm {
     pub fn forward_sequence<'a, B: Backend<'a>>(&'a self, b: &B, x: &B::Val) -> B::Val {
         let shape = b.shape(x);
         let (bsz, t) = (shape[0], shape[1]);
-        let mut h = b.constant_owned(Tensor::zeros([bsz, self.hidden]));
+        let mut h = b.fill(&[bsz, self.hidden], 0.0);
         let mut c = h.clone();
         let mut outputs = Vec::with_capacity(t);
         for ti in 0..t {
@@ -117,7 +116,7 @@ impl Gru {
     pub fn forward_sequence<'a, B: Backend<'a>>(&'a self, b: &B, x: &B::Val) -> B::Val {
         let shape = b.shape(x);
         let (bsz, t) = (shape[0], shape[1]);
-        let mut h = b.constant_owned(Tensor::zeros([bsz, self.hidden]));
+        let mut h = b.fill(&[bsz, self.hidden], 0.0);
         let mut outputs = Vec::with_capacity(t);
         for ti in 0..t {
             let x_t = b.reshape(b.slice(x, 1, ti, ti + 1), &[bsz, shape[2]]);
@@ -149,7 +148,7 @@ impl Gru {
 mod tests {
     use super::*;
     use cts_autograd::Tape;
-    use cts_tensor::init;
+    use cts_tensor::{init, Tensor};
     use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]

@@ -37,6 +37,21 @@ impl GraphContext {
         }
     }
 
+    /// A context over `n` nodes whose `k` diffusion powers per direction and
+    /// `k + 1` Chebyshev terms are all-zero `[n, n]` matrices: the shapes a
+    /// graph of that size and order has, for static pricing, which reads
+    /// shapes only.
+    pub fn zeros(n: usize, k: usize) -> Self {
+        let supports = |count: usize| (0..count).map(|_| Tensor::zeros([n, n])).collect();
+        Self {
+            n,
+            diffusion_fwd: supports(k),
+            diffusion_bwd: supports(k),
+            cheb: supports(k + 1),
+            adaptive: None,
+        }
+    }
+
     /// Add learned node embeddings for an adaptive adjacency.
     pub fn with_adaptive(mut self, rng: &mut impl Rng, emb_dim: usize) -> Self {
         let e1 = Parameter::new("adaptive.e1", init::normal(rng, [self.n, emb_dim], 0.1));
@@ -48,11 +63,6 @@ impl GraphContext {
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Diffusion-step count `K`.
-    pub fn k(&self) -> usize {
-        self.diffusion_fwd.len()
     }
 
     /// Forward diffusion supports `P_f¹..P_f^K` as backend constants.
@@ -91,13 +101,6 @@ impl GraphContext {
     /// adaptive-direction weights should only allocate them in this case).
     pub fn has_adaptive(&self) -> bool {
         self.adaptive.is_some()
-    }
-
-    /// Embedding width of the adaptive adjacency factors, when present —
-    /// the `emb_dim` passed to [`Self::with_adaptive`]. Static cost
-    /// analysis prices the per-eval `softmax(relu(E₁·E₂))` from this.
-    pub fn adaptive_emb_dim(&self) -> Option<usize> {
-        self.adaptive.as_ref().map(|(e1, _)| e1.value().shape()[1])
     }
 
     /// True when the context carries usable spatial structure (either a

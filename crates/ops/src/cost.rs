@@ -1,50 +1,51 @@
-//! Static op pricing: the `cost_fn` contract mirroring [`OpKind::infer_shape`].
+//! Static op pricing: every body run once more, on shapes only.
 //!
-//! Every operator kind declares, *without being instantiated or executed*,
-//! how much work its tape-free `forward_eval` performs: floating-point
-//! operations, bytes moved through the element-wise/matmul kernels, kernel
-//! dispatches, parameter count, and an upper bound on the arena bytes its
-//! intermediates occupy. `cts-verify` rolls these up into whole-genotype
-//! budgets checked before a single forward pass runs.
+//! [`Cost`] is a third [`Backend`], next to the tape and `Eager`. Its
+//! values are shapes. Each method prices the kernel `Eager` would run for
+//! it, through the [`Trace`] kernel primitives, and computes the output
+//! shape; nothing executes. So an operator's price is its own body's
+//! kernel sequence, not a copy of it: [`OpKind::cost`] builds the operator
+//! and runs its body here, `ExecPlan::static_cost` runs its live operators,
+//! embedding and head here, and `cts-verify` rolls the prices up into
+//! whole-genotype budgets before a single forward pass runs.
 //!
 //! The contract (the static counterpart of the meter in
 //! `cts_tensor::meter`):
 //!
 //! * `flops` / `bytes_read` / `bytes_written` / `kernel_calls` are **exact**:
-//!   they must equal, bit for bit, what [`cts_tensor::meter`] observes during
-//!   one `forward_eval` of the same operator on the same concrete shape. A
-//!   workspace test (`tests/cost_oracle.rs`) and the unit tests below enforce
-//!   this against randomized genotypes. The traces therefore mirror the operator
-//!   bodies kernel by kernel — including which kernels are *free* (shape ops,
-//!   clones, `sum_all`, `scale_inplace`) and fast paths (same-shape zips,
-//!   ProbSparse's full-attention fallback when `u ≥ L`).
+//!   they equal, bit for bit, what [`cts_tensor::meter`] observes during
+//!   one `forward_eval` of the same body on the same concrete shape. The
+//!   kernel primitives below follow the metering of `cts_tensor::ops`:
+//!   shape ops (`permute`, `slice`, `index_select`, `concat`), clones and
+//!   reshapes are free, and same-shape zips take the fast path. The tests
+//!   below, `tests/pricing_oracle.rs` and the workspace `cost_oracle` hold
+//!   the prices to the meter.
 //! * `dense_flops` is the matmul/conv-class subset of `flops`, used by the
 //!   latency model (dense flops run much faster per flop than strided
 //!   element-wise traffic).
 //! * `scratch_bytes` is an arena-aligned **upper bound** (sum, not max) on
-//!   the bytes of every buffer the op allocates while evaluating, including
-//!   un-metered shape-op outputs and clones. It over-counts the true
-//!   transient peak by design; it must never under-count.
+//!   the bytes of every buffer the body allocates while evaluating: kernel
+//!   outputs, shape-op outputs, and the copies `Eager` makes when it clones
+//!   an owned value or reshapes one it reads in place. It over-counts the
+//!   true transient peak by design; it must never under-count.
+//! * `param_count` is read from the weights of the priced layer or
+//!   operator.
 //!
-//! New operators MUST extend [`OpKind::cost`]; the exhaustive match makes
-//! forgetting a compile error, and the oracle test makes a wrong trace a
-//! test failure.
+//! Pricing runs no kernel. It allocates only the operator's weights and,
+//! for [`OpKind::cost`] of a GCN-family operator, zero-filled `[N, N]`
+//! graph supports.
 
-use crate::attention_ops::INFORMER_FACTOR;
 use crate::meta::{ShapeCtx, ShapeIssue};
-use crate::OpKind;
+use crate::{build_operator, project, GraphContext, OpFamily, OpKind};
+use cts_autograd::{Backend, Parameter};
+use cts_nn::Linear;
 use cts_tensor::sym::SymDim;
+use cts_tensor::{broadcast_shapes, Shape, Tensor};
+use rand::{rngs::SmallRng, SeedableRng};
+use std::cell::RefCell;
 
 /// Every tensor element is an `f32`.
 pub const BYTES_PER_ELEM: u64 = 4;
-
-/// The number of active queries the Informer operators' ProbSparse
-/// attention selects for sequence length `l` — the runtime's own
-/// [`cts_nn::prob_sparse_u`], so cost and runtime can never disagree about
-/// which path (sparse or full fallback) executes.
-pub fn informer_u(l: u64) -> u64 {
-    cts_nn::prob_sparse_u(INFORMER_FACTOR, l as usize) as u64
-}
 
 /// Static resource price of one operator application (or any composition of
 /// kernel invocations — costs add).
@@ -125,11 +126,11 @@ impl CostCtx {
         }
     }
 
-    fn resolve(&self, dim: &SymDim) -> u64 {
+    fn resolve(&self, dim: &SymDim) -> usize {
         match dim {
-            SymDim::Const(c) => *c as u64,
-            SymDim::Sym("B") => self.batch as u64,
-            SymDim::Sym("N") => self.nodes as u64,
+            SymDim::Const(c) => *c,
+            SymDim::Sym("B") => self.batch,
+            SymDim::Sym("N") => self.nodes,
             SymDim::Sym(_) => 1,
         }
     }
@@ -145,8 +146,7 @@ pub fn arena_bytes(elems: u64) -> u64 {
         .saturating_mul(BYTES_PER_ELEM)
 }
 
-/// A virtual execution trace: replays an eval path's kernel sequence on
-/// shapes alone, accumulating an [`OpCost`].
+/// Accumulates an [`OpCost`] one kernel at a time.
 ///
 /// Each method mirrors one `cts_tensor::ops` kernel's metering contract
 /// (`flops` = the kernel's `work` parameter, `reads`/`writes` = the elements
@@ -169,7 +169,7 @@ impl Trace {
     }
 
     /// Record an un-metered arena allocation of `elems` elements (clones,
-    /// permutes, slices, concat outputs, zero/ones buffers).
+    /// permutes, slices, concat outputs, filled constants).
     pub fn alloc(&mut self, elems: u64) {
         self.cost.scratch_bytes = self.cost.scratch_bytes.saturating_add(arena_bytes(elems));
     }
@@ -207,7 +207,8 @@ impl Trace {
     }
 
     /// An element-wise unary kernel (`relu`, `tanh`, `sigmoid`, `scale`,
-    /// `add_scalar`, `sqrt`, `square`, `neg`, …): work = reads = writes = len.
+    /// `add_scalar`, `sqrt`, `square`, `neg`, …) or `transpose_last2`:
+    /// work = reads = writes = len.
     pub fn unary(&mut self, len: u64) {
         self.reads(len);
         self.exec(len, len);
@@ -226,12 +227,6 @@ impl Trace {
         self.reads(a_len.saturating_add(b_len));
         self.exec(work, batch.saturating_mul(m).saturating_mul(n));
         self.cost.dense_flops = self.cost.dense_flops.saturating_add(work);
-    }
-
-    /// `transpose_last2`: a metered data movement of `len` elements.
-    pub fn transpose(&mut self, len: u64) {
-        self.reads(len);
-        self.exec(len, len);
     }
 
     /// `softmax_last` over `len` total elements: ~4 flops per element.
@@ -269,290 +264,278 @@ impl Trace {
         self.exec(work, series.saturating_mul(t).saturating_mul(dout));
         self.cost.dense_flops = self.cost.dense_flops.saturating_add(work);
     }
+}
 
-    /// A `Linear(d_in → d_out)` eval on `rows` positions: one matmul plus,
-    /// with `bias`, one broadcast add against the `[d_out]` bias vector.
-    pub fn linear(&mut self, rows: u64, d_in: u64, d_out: u64, bias: bool) {
-        self.matmul(
-            [1, rows, d_in, d_out],
-            rows.saturating_mul(d_in),
-            d_in.saturating_mul(d_out),
-        );
-        if bias {
-            let out = rows.saturating_mul(d_out);
-            self.zip_bcast(out, d_out, out);
+/// Saturating element count of `shape`.
+fn numel(shape: &[usize]) -> u64 {
+    shape.iter().fold(1u64, |acc, &d| acc.saturating_mul(d as u64))
+}
+
+/// The shape-only pricing backend.
+///
+/// `&Cost` implements [`Backend`]: run a body on it, then read the price
+/// with [`Cost::finish`]. Its values ([`CostVal`]) remember whether `Eager`
+/// would own the buffer or read it in place, so the copies `Eager` makes
+/// (cloning an owned value, reshaping a borrowed one, handing a borrowed
+/// result back as a tensor) are priced too.
+#[derive(Debug, Default)]
+pub struct Cost {
+    trace: RefCell<Trace>,
+}
+
+/// A value of the [`Cost`] backend: a shape, and whether `Eager` would own
+/// its buffer.
+#[derive(Debug)]
+pub struct CostVal<'a> {
+    shape: Shape,
+    owned: bool,
+    trace: &'a RefCell<Trace>,
+}
+
+impl CostVal<'_> {
+    fn numel(&self) -> u64 {
+        numel(&self.shape)
+    }
+}
+
+impl Clone for CostVal<'_> {
+    /// Cloning an owned `Eager` value copies its buffer.
+    fn clone(&self) -> Self {
+        if self.owned {
+            self.trace.borrow_mut().alloc(self.numel());
+        }
+        CostVal {
+            shape: self.shape.clone(),
+            owned: self.owned,
+            trace: self.trace,
+        }
+    }
+}
+
+impl Cost {
+    /// A backend with nothing priced yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A value of `shape` the body reads in place (an input, constant or
+    /// weight): free, like `EagerVal::Borrowed`.
+    pub fn input(&self, shape: &[usize]) -> CostVal<'_> {
+        CostVal {
+            shape: Shape::from_slice(shape),
+            owned: false,
+            trace: &self.trace,
         }
     }
 
-    /// `LayerNorm(d)` eval over `len` total elements (`len / d` rows): the
-    /// exact nine-kernel sequence of `LayerNorm::forward`.
-    pub fn layernorm(&mut self, len: u64, d: u64) {
-        let rows = len.checked_div(d).unwrap_or(0);
-        // mean_axis → sum_axis over the channel axis.
-        self.reduce(rows, d, 1);
-        // centered = x − mean (broadcast over the channel axis).
-        self.zip_bcast(len, rows, len);
-        // square, then the variance's mean_axis.
-        self.unary(len);
-        self.reduce(rows, d, 1);
-        // add_scalar(eps), sqrt on the [rows] tensor.
-        self.unary(rows);
-        self.unary(rows);
-        // normed = centered / std (broadcast).
-        self.zip_bcast(len, rows, len);
-        // affine: ⊙ gamma[d], + beta[d] (both broadcast).
-        self.zip_bcast(len, d, len);
-        self.zip_bcast(len, d, len);
-    }
-
-    /// `node_mix`: permute → `support[N,N] · x[B,T,N,D]` → permute.
-    pub fn node_mix(&mut self, b: u64, n: u64, t: u64, d: u64) {
-        let len = b.saturating_mul(n).saturating_mul(t).saturating_mul(d);
-        self.alloc(len); // permute to [B,T,N,D]
-        self.matmul([b.saturating_mul(t), n, n, d], n.saturating_mul(n), len);
-        self.alloc(len); // permute back
-    }
-
-    /// One `AttentionLayer::forward` on `[bp, l, d]` (projections plus
-    /// full or ProbSparse attention — the sparse path falls back to full
-    /// when `u ≥ l`, exactly like the kernel).
-    pub fn attention(&mut self, bp: u64, l: u64, d: u64, probsparse: bool) {
-        let bld = bp.saturating_mul(l).saturating_mul(d);
-        let bll = bp.saturating_mul(l).saturating_mul(l);
-        // wq, wk, wv projections (no bias).
-        for _ in 0..3 {
-            self.linear(bp.saturating_mul(l), d, d, false);
+    /// Take `y` as an owned tensor, like `EagerVal::into_tensor`: a copy
+    /// unless the body computed it. Handing a result to the caller does
+    /// this, and so does `Eager`'s reshape.
+    pub fn output(&self, y: CostVal<'_>) {
+        if !y.owned {
+            self.trace.borrow_mut().alloc(y.numel());
         }
-        let u = informer_u(l);
-        if !probsparse || u >= l {
-            // Full scaled-dot-product attention.
-            self.alloc(bld); // permute(k)
-            self.matmul([bp, l, d, l], bld, bld);
-            self.unary(bll); // scale by 1/√d
-            self.softmax(bll);
-            self.matmul([bp, l, l, d], bll, bld);
-            return;
-        }
-        // ProbSparse: sparsity measurement on detached values…
-        self.transpose(bld); // transpose_last2(k)
-        self.matmul([bp, l, d, l], bld, bld);
-        let bl = bp.saturating_mul(l);
-        self.reduce(bl, l, 1); // max_axis(scores, 2)
-        self.reduce(bl, l, 1); // mean_axis(scores, 2)
-        self.zip_same(bl); // max − mean
-        self.reduce(1, bp, l); // batch average (mean_axis over axis 0)
-        // …then attention for the u selected queries…
-        let bud = bp.saturating_mul(u).saturating_mul(d);
-        let bul = bp.saturating_mul(u).saturating_mul(l);
-        self.alloc(bud); // index_select(q, sel)
-        self.alloc(bld); // permute(k)
-        self.matmul([bp, u, d, l], bud, bld);
-        self.unary(bul); // scale
-        self.softmax(bul);
-        self.matmul([bp, u, l, d], bul, bld);
-        // …lazy queries output mean(V), broadcast over L−u rows…
-        self.reduce(bp, l, d); // mean_axis(v, 1)
-        self.alloc(l - u); // ones([1, l−u, 1])
-        let rep = bp.saturating_mul(l - u).saturating_mul(d);
-        self.zip_bcast(bp.saturating_mul(d), l - u, rep);
-        // …and rows reassemble via concat + inverse gather (free).
-        self.alloc(bld);
-        self.alloc(bld);
     }
 
-    /// One LSTM step of `Lstm::step` on `[b, d]` rows, hidden = d.
-    fn lstm_step(&mut self, b: u64, d: u64) {
-        let bh = b.saturating_mul(d);
-        let b4h = bh.saturating_mul(4);
-        self.alloc(bh); // slice x_t
-        self.linear(b, d, 4 * d, true); // wx
-        self.linear(b, d, 4 * d, false); // wh
-        self.zip_same(b4h); // gates_x + gates_h
-        for _ in 0..4 {
-            self.alloc(bh); // i/f/g/o gate slices
-        }
-        self.unary(bh); // sigmoid(i)
-        self.unary(bh); // sigmoid(f)
-        self.unary(bh); // tanh(g)
-        self.unary(bh); // sigmoid(o)
-        self.zip_same(bh); // f ⊙ c
-        self.zip_same(bh); // i ⊙ g
-        self.zip_same(bh); // c_new = +
-        self.unary(bh); // tanh(c_new)
-        self.zip_same(bh); // h_new = o ⊙ tanh
-        self.alloc(bh); // h.clone() pushed to outputs
+    /// Everything priced so far, with `param_count` read from `weights`.
+    pub fn finish(self, weights: &[Parameter]) -> OpCost {
+        let mut cost = self.trace.into_inner().finish();
+        cost.param_count = weights
+            .iter()
+            .fold(0u64, |acc, p| acc.saturating_add(p.len() as u64));
+        cost
     }
 
-    /// `Lstm::forward_sequence` on `[b, t, d]`, hidden = d.
-    pub fn lstm(&mut self, b: u64, t: u64, d: u64) {
-        let bh = b.saturating_mul(d);
-        self.alloc(bh); // h = zeros
-        self.alloc(bh); // c = h.clone()
-        for _ in 0..t {
-            self.lstm_step(b, d);
+    /// A buffer `Eager` owns, already priced by the caller.
+    fn owned(&self, shape: Shape) -> CostVal<'_> {
+        CostVal {
+            shape,
+            owned: true,
+            trace: &self.trace,
         }
-        self.alloc(b.saturating_mul(t).saturating_mul(d)); // concat
     }
 
-    /// One GRU step of `Gru::step` on `[b, d]` rows, hidden = d.
-    fn gru_step(&mut self, b: u64, d: u64) {
-        let bh = b.saturating_mul(d);
-        let b2h = bh.saturating_mul(2);
-        self.alloc(bh); // slice x_t
-        self.linear(b, d, 2 * d, true); // wx_zr
-        self.linear(b, d, 2 * d, false); // wh_zr
-        self.zip_same(b2h); // zr sum
-        self.alloc(bh); // slice z
-        self.unary(bh); // sigmoid(z)
-        self.alloc(bh); // slice r
-        self.unary(bh); // sigmoid(r)
-        self.zip_same(bh); // r ⊙ h
-        self.linear(b, d, d, true); // wx_n
-        self.linear(b, d, d, false); // wh_n
-        self.zip_same(bh); // n sum
-        self.unary(bh); // tanh(n)
-        self.unary(bh); // neg(z)
-        self.unary(bh); // add_scalar 1.0
-        self.zip_same(bh); // (1−z) ⊙ n
-        self.zip_same(bh); // z ⊙ h
-        self.zip_same(bh); // h'
-        self.alloc(bh); // h.clone() pushed to outputs
+    /// One metered kernel writing a fresh `shape` buffer.
+    fn kernel(&self, shape: Shape, price: impl FnOnce(&mut Trace)) -> CostVal<'_> {
+        price(&mut self.trace.borrow_mut());
+        self.owned(shape)
     }
 
-    /// `Gru::forward_sequence` on `[b, t, d]`, hidden = d.
-    pub fn gru(&mut self, b: u64, t: u64, d: u64) {
-        self.alloc(b.saturating_mul(d)); // h = zeros
-        for _ in 0..t {
-            self.gru_step(b, d);
-        }
-        self.alloc(b.saturating_mul(t).saturating_mul(d)); // concat
+    /// An un-metered data movement into a fresh `shape` buffer.
+    fn copy(&self, shape: Shape) -> CostVal<'_> {
+        self.trace.borrow_mut().alloc(numel(&shape));
+        self.owned(shape)
     }
+
+    /// `add`/`sub`/`mul`/`div`: the same-shape fast path, or a broadcast.
+    fn zip<'a>(&'a self, a: &CostVal<'a>, b: &CostVal<'a>) -> CostVal<'a> {
+        if a.shape == b.shape {
+            return self.kernel(a.shape.clone(), |t| t.zip_same(a.numel()));
+        }
+        let out = broadcast_shapes(&a.shape, &b.shape)
+            .unwrap_or_else(|| panic!("broadcast mismatch {:?} vs {:?}", a.shape, b.shape));
+        let len = numel(&out);
+        self.kernel(out, |t| t.zip_bcast(a.numel(), b.numel(), len))
+    }
+
+    fn unary<'a>(&'a self, a: &CostVal<'a>) -> CostVal<'a> {
+        self.kernel(a.shape.clone(), |t| t.unary(a.numel()))
+    }
+}
+
+/// The same-named [`Trace`] pricing for each element-wise kernel.
+macro_rules! cost_kernels {
+    (unary: $($f:ident),*) => {
+        $(fn $f(&self, a: &CostVal<'a>) -> CostVal<'a> { self.unary(a) })*
+    };
+    (binary: $($f:ident),*) => {
+        $(fn $f(&self, a: &CostVal<'a>, b: &CostVal<'a>) -> CostVal<'a> { self.zip(a, b) })*
+    };
+}
+
+impl<'a> Backend<'a> for &'a Cost {
+    type Val = CostVal<'a>;
+
+    fn constant(&self, t: &'a Tensor) -> CostVal<'a> {
+        self.input(t.shape())
+    }
+    fn fill(&self, shape: &[usize], _value: f32) -> CostVal<'a> {
+        self.copy(Shape::from_slice(shape))
+    }
+    fn param(&self, p: &'a Parameter) -> CostVal<'a> {
+        self.input(p.value().shape())
+    }
+    fn shape(&self, x: &CostVal<'a>) -> Shape {
+        x.shape.clone()
+    }
+    /// The six kernels of the value-level selection, then queries `0..u`:
+    /// which queries win changes no count.
+    fn top_queries(&self, q: &CostVal<'a>, k: &CostVal<'a>, u: usize, sel: &mut Vec<usize>) {
+        let mut kt = k.shape.clone();
+        let r = kt.len();
+        kt.swap(r - 2, r - 1);
+        let kt = self.kernel(kt, |t| t.unary(k.numel())); // transpose_last2
+        let scores = self.matmul(q, &kt);
+        // max_axis prices exactly like the sum inside mean_axis.
+        let max = self.mean_axis(&scores, 2, false);
+        let mean = self.mean_axis(&scores, 2, false);
+        self.mean_axis(&self.sub(&max, &mean), 0, false);
+        sel.clear();
+        sel.extend(0..u);
+    }
+    cost_kernels!(unary: neg, relu, sigmoid, tanh, sqrt, square);
+    cost_kernels!(binary: add, sub, mul, div);
+    fn matmul(&self, a: &CostVal<'a>, b: &CostVal<'a>) -> CostVal<'a> {
+        let (ra, rb) = (a.shape.len(), b.shape.len());
+        assert!(ra >= 2 && rb >= 2, "matmul needs rank >= 2");
+        let (m, k, n) = (a.shape[ra - 2], a.shape[ra - 1], b.shape[rb - 1]);
+        let mut out = broadcast_shapes(&a.shape[..ra - 2], &b.shape[..rb - 2])
+            .unwrap_or_else(|| panic!("matmul batch broadcast {:?} x {:?}", a.shape, b.shape));
+        let batch = numel(&out);
+        out.push(m);
+        out.push(n);
+        let dims = [batch, m as u64, k as u64, n as u64];
+        self.kernel(out, |t| t.matmul(dims, a.numel(), b.numel()))
+    }
+    fn scale(&self, a: &CostVal<'a>, _c: f32) -> CostVal<'a> {
+        self.unary(a)
+    }
+    fn add_scalar(&self, a: &CostVal<'a>, _c: f32) -> CostVal<'a> {
+        self.unary(a)
+    }
+    fn softmax_last(&self, a: &CostVal<'a>) -> CostVal<'a> {
+        self.kernel(a.shape.clone(), |t| t.softmax(a.numel()))
+    }
+    fn permute(&self, a: &CostVal<'a>, perm: &[usize]) -> CostVal<'a> {
+        self.copy(perm.iter().map(|&p| a.shape[p]).collect())
+    }
+    fn reshape(&self, a: CostVal<'a>, shape: &[usize]) -> CostVal<'a> {
+        self.output(a);
+        self.owned(Shape::from_slice(shape))
+    }
+    fn slice(&self, a: &CostVal<'a>, axis: usize, start: usize, end: usize) -> CostVal<'a> {
+        let mut out = a.shape.clone();
+        out[axis] = end - start;
+        self.copy(out)
+    }
+    fn index_select(&self, a: &CostVal<'a>, axis: usize, indices: &[usize]) -> CostVal<'a> {
+        let mut out = a.shape.clone();
+        out[axis] = indices.len();
+        self.copy(out)
+    }
+    fn concat(&self, parts: &[CostVal<'a>], axis: usize) -> CostVal<'a> {
+        let mut out = parts[0].shape.clone();
+        out[axis] = parts.iter().map(|p| p.shape[axis]).sum();
+        self.copy(out)
+    }
+    fn mean_axis(&self, a: &CostVal<'a>, axis: usize, keepdim: bool) -> CostVal<'a> {
+        let outer = numel(&a.shape[..axis]);
+        let inner = numel(&a.shape[axis + 1..]);
+        let len = a.shape[axis] as u64;
+        let mut out: Shape = (a.shape.iter().enumerate())
+            .filter_map(|(i, &d)| if i != axis { Some(d) } else { keepdim.then_some(1) })
+            .collect();
+        if out.is_empty() {
+            out.push(1);
+        }
+        self.kernel(out, |t| t.reduce(outer, len, inner))
+    }
+    fn temporal_conv(&self, x: &CostVal<'a>, w: &CostVal<'a>, _dilation: usize) -> CostVal<'a> {
+        let (s, ws) = (&x.shape, &w.shape);
+        let series = (s[0] as u64).saturating_mul(s[1] as u64);
+        let taps = [ws[0] as u64, ws[1] as u64, ws[2] as u64];
+        let out = Shape::from_slice(&[s[0], s[1], s[2], ws[2]]);
+        self.kernel(out, |t| t.temporal_conv(series, s[2] as u64, taps))
+    }
+}
+
+/// Price one `layer.forward` on an input of `shape`, read in place.
+pub fn price_linear(layer: &Linear, shape: &[usize]) -> OpCost {
+    let cost = Cost::new();
+    let b = &cost;
+    let y = layer.forward(&b, &b.input(shape));
+    b.output(y);
+    cost.finish(&layer.parameters())
+}
+
+/// Price one [`project`] through `output` on a merged backbone
+/// representation of `shape`, read in place.
+pub fn price_project(output: &Linear, shape: &[usize]) -> OpCost {
+    let cost = Cost::new();
+    let b = &cost;
+    let y = project(&b, &b.input(shape), output, 1.0, 0.0);
+    b.output(y);
+    cost.finish(&output.parameters())
 }
 
 impl OpKind {
     /// Price one application of this operator on the symbolic `input`
-    /// shape, resolved and evaluated under `ctx` — pure metadata, mirroring
-    /// [`OpKind::infer_shape`]'s validation and the operator's
-    /// `forward_eval` kernel sequence.
+    /// shape, resolved under `ctx`.
+    ///
+    /// Validates `input` with [`OpKind::infer_shape`], builds the operator
+    /// from a fixed-seed RNG against zero-filled graph supports of the
+    /// right shapes, and runs its body on [`Cost`]. The GCN family's
+    /// supports are `[N, N]`, so pricing it allocates `O(K·N²)` floats.
     ///
     /// # Errors
     /// The same [`ShapeIssue`]s `infer_shape` reports: costs exist only for
     /// inputs the operator accepts.
     pub fn cost(&self, input: &[SymDim], ctx: &CostCtx) -> Result<OpCost, ShapeIssue> {
-        // Validation is the shape rule's, verbatim.
-        let _ = self.infer_shape(input, &ctx.shape_ctx())?;
-        let dims: Vec<u64> = input.iter().map(|d| ctx.resolve(d)).collect();
-        let numel = dims.iter().fold(1u64, |acc, &d| acc.saturating_mul(d));
-        let mut tr = Trace::new();
-        let d64 = ctx.width as u64;
-
-        // Zero and Identity are polymorphic and priced on raw numel.
-        match self {
-            OpKind::Zero => {
-                tr.unary(numel); // ops::scale(x, 0.0)
-                return Ok(tr.finish());
-            }
-            OpKind::Identity => {
-                tr.alloc(numel); // x.clone()
-                return Ok(tr.finish());
-            }
-            _ => {}
+        self.infer_shape(input, &ctx.shape_ctx())?;
+        let dims: Vec<usize> = input.iter().map(|d| ctx.resolve(d)).collect();
+        // Only the GCN family reads the graph, and it mixes over the
+        // input's node dim; every other op gets an empty one.
+        let nodes = match self.family() {
+            OpFamily::SpatialGcn => dims[1],
+            _ => 0,
+        };
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut graph = GraphContext::zeros(nodes, ctx.gcn_k);
+        if ctx.adaptive {
+            graph = graph.with_adaptive(&mut rng, ctx.adaptive_emb);
         }
-
-        // Parametric ops: infer_shape proved rank-4 [B, N, T, d].
-        let (b, n, t) = (dims[0], dims[1], dims[2]);
-        let len = numel;
-        let series = b.saturating_mul(n);
-        let rows = series.saturating_mul(t);
-
-        // ReLU → inner → LayerNorm wrapper, shared by every parametric op.
-        tr.unary(len); // relu
-        let mut params: u64 = 2 * d64; // the wrapper's LayerNorm affine
-        match self {
-            OpKind::Conv1d => {
-                tr.temporal_conv(series, t, [2, d64, d64]);
-                tr.zip_bcast(len, d64, len); // bias
-                params = params
-                    .saturating_add(2 * d64 * d64 + d64);
-            }
-            OpKind::Gdcc => {
-                for _ in 0..2 {
-                    // filter (→ tanh) and gate (→ sigmoid) branches
-                    tr.temporal_conv(series, t, [2, d64, d64]);
-                    tr.zip_bcast(len, d64, len); // bias
-                    tr.unary(len); // tanh / sigmoid
-                }
-                tr.zip_same(len); // f ⊙ g
-                params = params.saturating_add(2 * (2 * d64 * d64 + d64));
-            }
-            OpKind::Lstm => {
-                tr.alloc(len); // temporal view clone
-                tr.lstm(series, t, d64);
-                params = params.saturating_add(8 * d64 * d64 + 4 * d64);
-            }
-            OpKind::Gru => {
-                tr.alloc(len); // temporal view clone
-                tr.gru(series, t, d64);
-                params = params.saturating_add(6 * d64 * d64 + 3 * d64);
-            }
-            OpKind::TransformerT | OpKind::InformerT => {
-                tr.alloc(len); // temporal view clone
-                tr.attention(series, t, d64, *self == OpKind::InformerT);
-                params = params.saturating_add(3 * d64 * d64);
-            }
-            OpKind::TransformerS | OpKind::InformerS => {
-                tr.alloc(len); // spatial view permute
-                tr.attention(b.saturating_mul(t), n, d64, *self == OpKind::InformerS);
-                tr.alloc(len); // un-view permute
-                params = params.saturating_add(3 * d64 * d64);
-            }
-            OpKind::ChebGcn => {
-                let k = ctx.gcn_k as u64;
-                for i in 0..=k {
-                    tr.node_mix(b, n, t, d64);
-                    tr.linear(rows, d64, d64, i == 0);
-                    if i > 0 {
-                        tr.zip_same(len); // accumulate
-                    }
-                }
-                params = params
-                    .saturating_add((k + 1).saturating_mul(d64 * d64) + d64);
-            }
-            OpKind::Dgcn => {
-                let k = ctx.gcn_k as u64;
-                tr.linear(rows, d64, d64, true); // self term
-                for _ in 0..2 * k {
-                    // forward then backward diffusion directions
-                    tr.node_mix(b, n, t, d64);
-                    tr.linear(rows, d64, d64, false);
-                    tr.zip_same(len); // accumulate
-                }
-                params = params.saturating_add(
-                    (2 * k + 1).saturating_mul(d64 * d64) + d64,
-                );
-                if ctx.adaptive {
-                    // support = softmax(relu(E₁·E₂)), computed per eval.
-                    let emb = ctx.adaptive_emb as u64;
-                    let nn = (ctx.nodes as u64).saturating_mul(ctx.nodes as u64);
-                    let ne = (ctx.nodes as u64).saturating_mul(emb);
-                    tr.matmul([1, ctx.nodes as u64, emb, ctx.nodes as u64], ne, ne);
-                    tr.unary(nn); // relu
-                    tr.softmax(nn);
-                    tr.alloc(len); // mixed = x.clone()
-                    for _ in 0..k {
-                        tr.node_mix(b, n, t, d64);
-                        tr.linear(rows, d64, d64, false);
-                        tr.zip_same(len);
-                    }
-                    params = params.saturating_add(k.saturating_mul(d64 * d64));
-                }
-            }
-            OpKind::Zero | OpKind::Identity => unreachable!("handled above"),
-        }
-        tr.layernorm(len, d64);
-        let mut cost = tr.finish();
-        cost.param_count = params;
-        Ok(cost)
+        let op = build_operator(&mut rng, *self, "price", ctx.width, ctx.gcn_k, ctx.adaptive);
+        Ok(op.price(&dims, &graph))
     }
 }
 

@@ -1,8 +1,8 @@
 //! The `StOperator` trait, the compact/full operator sets, and the factory.
 
 use crate::{
-    ChebGcnOp, Conv1dOp, DgcnOp, GdccOp, GraphContext, GruOp, IdentityOp, InformerSOp,
-    InformerTOp, LstmOp, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
+    ChebGcnOp, Conv1dOp, Cost, DgcnOp, GdccOp, GraphContext, GruOp, IdentityOp, InformerSOp,
+    InformerTOp, LstmOp, OpCost, OpKind, TransformerSOp, TransformerTOp, ZeroOp,
 };
 use cts_autograd::{Backend, Eager, EagerVal, Parameter, Tape, Var};
 use cts_nn::LayerNorm;
@@ -15,12 +15,16 @@ use rand::Rng;
 /// [`cts_autograd::Backend`]. [`Self::forward`] runs it on the tape;
 /// [`Self::forward_eval`] runs the same body on [`Eager`] for compiled
 /// inference plans, so the two outputs are bit-identical and weights are
-/// read in place, never copied.
+/// read in place, never copied; [`Self::price`] runs it on the shape-only
+/// [`Cost`] backend.
 pub trait StOperator {
     /// Apply the operator on the tape.
     fn forward(&self, tape: &Tape, x: &Var, ctx: &GraphContext) -> Var;
     /// Apply the operator tape-free, for compiled inference plans.
     fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor;
+    /// The static price of one [`Self::forward_eval`] on an input of
+    /// `shape`; nothing executes.
+    fn price(&self, shape: &[usize], ctx: &GraphContext) -> OpCost;
     /// The operator's trainable weights (excluding shared context params).
     fn parameters(&self) -> Vec<Parameter>;
     /// Which kind this operator instantiates.
@@ -46,6 +50,14 @@ impl<T: OpBody> StOperator for T {
 
     fn forward_eval(&self, x: &Tensor, ctx: &GraphContext) -> Tensor {
         self.apply(&Eager, &EagerVal::Borrowed(x), ctx).into_tensor()
+    }
+
+    fn price(&self, shape: &[usize], ctx: &GraphContext) -> OpCost {
+        let cost = Cost::new();
+        let b = &cost;
+        let y = self.apply(&b, &b.input(shape), ctx);
+        b.output(y);
+        cost.finish(&self.weights())
     }
 
     fn parameters(&self) -> Vec<Parameter> {

@@ -2,7 +2,10 @@
 
 use crate::error::ServeError;
 use cts_nn::Linear;
-use cts_ops::{CostCtx, GraphContext, OpCost, OpKind, ShapeCtx, ShapeIssue, StOperator, Trace};
+use cts_ops::{
+    price_linear, price_project, project_eval, GraphContext, OpCost, OpKind, ShapeCtx,
+    ShapeIssue, StOperator, Trace,
+};
 use cts_tensor::sym::{eval_shape, format_shape, SymDim};
 use cts_tensor::{arena, ops, Tensor};
 use std::cell::RefCell;
@@ -124,11 +127,8 @@ pub struct ExecPlan {
     out_scale: f32,
     out_shift: f32,
     input_len: usize,
-    d_model: usize,
     nodes: usize,
     features: usize,
-    /// `input_len · d_model`, overflow-checked once at compile time.
-    flat_width: usize,
     /// Reusable workspace: one cell per slot, kept warm across runs so
     /// dropped intermediates recycle straight into the arena.
     slots: RefCell<Vec<Option<Tensor>>>,
@@ -310,10 +310,8 @@ impl ExecPlan {
             out_scale: spec.out_scale,
             out_shift: spec.out_shift,
             input_len: spec.input_len,
-            d_model: spec.d_model,
             nodes: spec.nodes,
             features: spec.features,
-            flat_width,
             slots: RefCell::new((0..num_slots).map(|_| None).collect()),
         })
     }
@@ -379,12 +377,7 @@ impl ExecPlan {
         }
         // invariant: merged_slot is the last slot the step list writes.
         let merged = slots[self.merged_slot].as_ref().expect("program writes merged slot");
-        // Projection epilogue, mirroring Scaffold::project kernel for kernel:
-        // relu → flatten [B,N,T·D] → output linear → inverse-scaler affine.
-        let (b, n) = (merged.shape()[0], merged.shape()[1]);
-        let flat = ops::relu(merged).reshaped([b, n, self.flat_width]);
-        let out = self.output.forward_eval(&flat);
-        let mut y = ops::add_scalar(&ops::scale(&out, self.out_scale), self.out_shift);
+        let mut y = project_eval(merged, &self.output, self.out_scale, self.out_shift);
         if fault == cts_nn::fault::ServeFault::NanOutput {
             if let Some(v) = y.data_mut().first_mut() {
                 *v = f32::NAN;
@@ -415,78 +408,44 @@ impl ExecPlan {
         let _ = self.try_run(&x);
     }
 
-    /// Price one `try_run` at batch size `batch` without executing it,
-    /// walking the compiled step list through the per-op `OpKind::cost`
-    /// contract (embedding and projection epilogue included).
+    /// Price one `try_run` at batch size `batch` without executing it:
+    /// the embedding, every live operator and the output head run their
+    /// bodies on the shape-only `cts_ops::Cost` backend, and each
+    /// accumulate fold, residual and merge add prices as one same-shape
+    /// zip.
     ///
     /// The `flops`/`bytes`/`kernel_calls` fields are exact against the
     /// instrumented kernel meter for the same batch; `scratch_bytes` is an
-    /// arena-aligned upper bound. Pure metadata — no tensors touched.
+    /// arena-aligned upper bound. No kernel runs.
     pub fn static_cost(&self, batch: usize) -> OpCost {
-        let cctx = CostCtx {
-            batch,
-            nodes: self.nodes,
-            width: self.d_model,
-            graph_nodes: Some(self.nodes),
-            gcn_k: self.ctx.k(),
-            adaptive: self.ctx.has_adaptive(),
-            adaptive_emb: self.ctx.adaptive_emb_dim().unwrap_or(0),
-        };
-        let l_elems = [batch, self.nodes, self.input_len, self.d_model]
-            .iter()
-            .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
-        let rows = (batch as u64)
-            .saturating_mul(self.nodes as u64)
-            .saturating_mul(self.input_len as u64);
-
-        // Embedding: Linear(features → d_model) over B·N·T positions.
-        let mut embed = Trace::new();
-        embed.linear(rows, self.features as u64, self.d_model as u64, true);
-        let mut total = embed.finish();
-        total.param_count = (self.features as u64)
-            .saturating_mul(self.d_model as u64)
-            .saturating_add(self.d_model as u64);
-
+        let bind = [("B", batch)];
+        // invariant: every slot shape is [B, N, T, D] with only B symbolic.
+        let slot = |i: usize| eval_shape(&self.slot_shapes[i], &bind).expect("B is bound");
+        let mut add = Trace::new();
+        add.zip_same(slot(0).iter().fold(1u64, |acc, &d| acc.saturating_mul(d as u64)));
+        let add = add.finish();
+        let input = [batch, self.nodes, self.input_len, self.features];
+        let mut total = price_linear(&self.embed, &input);
         for step in &self.steps {
-            match step {
+            let c = match step {
                 Step::Op {
                     op,
                     src,
                     accumulate,
                     ..
                 } => {
-                    let c = op
-                        .kind()
-                        // invariant: compile ran infer_shape on this exact slot list
-                        .cost(&self.slot_shapes[*src], &cctx)
-                        .expect("compile validated every step shape");
-                    total = total.saturating_add(&c);
+                    let c = op.price(&slot(*src), &self.ctx);
                     if *accumulate {
-                        let mut fold = Trace::new();
-                        fold.zip_same(l_elems);
-                        total = total.saturating_add(&fold.finish());
+                        c.saturating_add(&add)
+                    } else {
+                        c
                     }
                 }
-                Step::Add { .. } => {
-                    let mut add = Trace::new();
-                    add.zip_same(l_elems);
-                    total = total.saturating_add(&add.finish());
-                }
-            }
+                Step::Add { .. } => add,
+            };
+            total = total.saturating_add(&c);
         }
-
-        // Projection epilogue: relu → flatten (free) → output → affine.
-        let bn = (batch as u64).saturating_mul(self.nodes as u64);
-        let q = self.output.d_out() as u64;
-        let bnq = bn.saturating_mul(q);
-        let mut epi = Trace::new();
-        epi.unary(l_elems); // relu
-        epi.linear(bn, self.flat_width as u64, q, true);
-        epi.unary(bnq); // scale
-        epi.unary(bnq); // add_scalar
-        let mut epi_cost = epi.finish();
-        epi_cost.param_count = (self.flat_width as u64).saturating_mul(q).saturating_add(q);
-        total.saturating_add(&epi_cost)
+        total.saturating_add(&price_project(&self.output, &slot(self.merged_slot)))
     }
 
     /// Number of records in the flat program (diagnostics / reports).

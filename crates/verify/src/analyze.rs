@@ -20,6 +20,7 @@ pub fn validate_genotype(spec: &ArchSpec) -> VerifyReport {
         .enumerate()
         .map(|(i, b)| check_structure(&mut report, i, b))
         .collect();
+    check_dims(&mut report, spec);
     check_backbone(&mut report, spec);
     shape_pass(&mut report, spec, &block_ok);
     for (i, block) in spec.blocks.iter().enumerate() {
@@ -95,6 +96,26 @@ fn check_structure(report: &mut VerifyReport, bi: usize, block: &BlockSpec) -> b
         }
     }
     ok
+}
+
+/// Every model dimension must be positive: a zero one leaves nothing to
+/// compute over, and pricing or running such a model is meaningless.
+fn check_dims(report: &mut VerifyReport, spec: &ArchSpec) {
+    let d = &spec.dims;
+    let dims = [
+        ("features", Some(d.features)),
+        ("input_len", Some(d.input_len)),
+        ("horizon", Some(d.horizon)),
+        ("d_model", Some(d.d_model)),
+        ("num_nodes", d.num_nodes),
+    ];
+    for (name, _) in dims.iter().filter(|(_, v)| *v == Some(0)) {
+        report.error(
+            FindingKind::ZeroDim,
+            "model",
+            format!("{name} is 0; every model dimension must be at least 1"),
+        );
+    }
 }
 
 /// Macro wiring: one source index per block, each pointing at the

@@ -36,8 +36,10 @@ use crate::check_genotype;
 use crate::finding::{FindingKind, VerifyReport};
 use crate::spec::ArchSpec;
 use crate::VerifyError;
-use cts_ops::{arena_bytes, CostCtx, OpCost, OpKind, ShapeIssue, Trace};
+use cts_nn::Linear;
+use cts_ops::{arena_bytes, price_linear, price_project, CostCtx, OpCost, OpKind, ShapeIssue, Trace};
 use cts_tensor::sym::SymDim;
+use rand::{rngs::SmallRng, SeedableRng};
 
 /// One priced record of the flat forward program.
 #[derive(Clone, Debug)]
@@ -265,28 +267,30 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
         SymDim::Const(dims.input_len),
         SymDim::Const(dims.d_model),
     ];
-    let l_elems = [batch, nodes, dims.input_len, dims.d_model]
+    let slot_shape = [batch, nodes, dims.input_len, dims.d_model];
+    let l_elems = slot_shape
         .iter()
         .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
     let slot_bytes = arena_bytes(l_elems);
+    // Accumulate folds, block residuals and skip merges: one same-shape add.
+    let mut add = Trace::new();
+    add.zip_same(l_elems);
+    let add = add.finish();
+    // The embedding and output head, built as every model builds them and
+    // priced by running their bodies.
+    let mut rng = SmallRng::seed_from_u64(0);
+    let embed = Linear::new(&mut rng, "embed", dims.features, dims.d_model, true);
+    let flat_width = dims.input_len.saturating_mul(dims.d_model);
+    let output = Linear::new(&mut rng, "output", flat_width, dims.horizon, true);
 
     let mut report = VerifyReport::default();
     let mut steps: Vec<StepCost> = Vec::new();
 
     // Slot 0: the embedding output, Linear(features → d_model) over B·N·T.
-    let rows = (batch as u64)
-        .saturating_mul(nodes as u64)
-        .saturating_mul(dims.input_len as u64);
-    let mut tr = Trace::new();
-    tr.linear(rows, dims.features as u64, dims.d_model as u64, true);
-    let mut embed_cost = tr.finish();
-    embed_cost.param_count = (dims.features as u64)
-        .saturating_mul(dims.d_model as u64)
-        .saturating_add(dims.d_model as u64);
     steps.push(StepCost {
         site: "embed".into(),
         kind: None,
-        cost: embed_cost,
+        cost: price_linear(&embed, &[batch, nodes, dims.input_len, dims.features]),
         srcs: Vec::new(),
         dst: 0,
         new_slot: true,
@@ -313,9 +317,7 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
                             edge_cost
                         } else {
                             // Accumulate fold: acc = ops::add(acc, y).
-                            let mut fold = Trace::new();
-                            fold.zip_same(l_elems);
-                            edge_cost.saturating_add(&fold.finish())
+                            edge_cost.saturating_add(&add)
                         };
                         steps.push(StepCost {
                             site,
@@ -345,12 +347,10 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
         let out_slot = *node_slots.last().expect("m ≥ 2 checked");
         let dst = next_slot;
         next_slot = next_slot.saturating_add(1);
-        let mut resid = Trace::new();
-        resid.zip_same(l_elems);
         steps.push(StepCost {
             site: format!("block{bi} residual"),
             kind: None,
-            cost: resid.finish(),
+            cost: add,
             srcs: vec![out_slot, input_slot],
             dst,
             new_slot: true,
@@ -364,12 +364,10 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
     for (bi, &next) in block_out_slots.iter().enumerate().skip(1) {
         let dst = next_slot;
         next_slot = next_slot.saturating_add(1);
-        let mut fold = Trace::new();
-        fold.zip_same(l_elems);
         steps.push(StepCost {
             site: format!("merge block{bi}"),
             kind: None,
-            cost: fold.finish(),
+            cost: add,
             srcs: vec![merged, next],
             dst,
             new_slot: true,
@@ -378,22 +376,10 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
     }
 
     // Projection epilogue: relu → flatten → output linear → affine.
-    let bn = (batch as u64).saturating_mul(nodes as u64);
-    let bnq = bn.saturating_mul(dims.horizon as u64);
-    let flat_width = (dims.input_len as u64).saturating_mul(dims.d_model as u64);
-    let mut epi = Trace::new();
-    epi.unary(l_elems); // relu (reshaped view is free)
-    epi.linear(bn, flat_width, dims.horizon as u64, true);
-    epi.unary(bnq); // scale
-    epi.unary(bnq); // add_scalar
-    let mut epi_cost = epi.finish();
-    epi_cost.param_count = flat_width
-        .saturating_mul(dims.horizon as u64)
-        .saturating_add(dims.horizon as u64);
     steps.push(StepCost {
         site: "output head".into(),
         kind: None,
-        cost: epi_cost,
+        cost: price_project(&output, &slot_shape),
         srcs: vec![merged],
         dst: merged,
         new_slot: false,
@@ -590,6 +576,30 @@ mod tests {
         };
         let err = analyze_cost(&arch(vec![broken], vec![0]), 1).unwrap_err();
         assert!(!err.report.is_ok());
+    }
+
+    /// Regression: a zero `input_len` under an `inf-t` edge and a zero
+    /// `num_nodes` under an `inf-s` edge used to pass validation and then
+    /// panic inside ProbSparse's `u = clamp(⌈ln L⌉, 1, L)` while pricing.
+    #[test]
+    fn zero_dims_are_a_typed_error_not_a_panic() {
+        let block = |op| BlockSpec {
+            m: 3,
+            edges: vec![(0, 1, OpKind::Gdcc), (0, 2, op), (1, 2, OpKind::Identity)],
+        };
+        let mut zero_len = arch(vec![block(OpKind::InformerT)], vec![0]);
+        zero_len.dims.input_len = 0;
+        let mut zero_nodes = arch(vec![block(OpKind::InformerS)], vec![0]);
+        zero_nodes.dims.num_nodes = Some(0);
+        for (spec, dim) in [(zero_len, "input_len"), (zero_nodes, "num_nodes")] {
+            let err = analyze_cost(&spec, 2).unwrap_err();
+            let f = err
+                .report
+                .errors()
+                .find(|f| f.kind == FindingKind::ZeroDim)
+                .expect("zero-dimension finding");
+            assert!(f.message.contains(dim), "{}", f.message);
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub enum Severity {
 /// The class of defect a finding describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FindingKind {
+    /// A model dimension (features, window, horizon, width or node count)
+    /// is zero: there is nothing to compute over.
+    ZeroDim,
     /// Structurally broken block DAG (non-forward edge, index out of
     /// range, fewer than two nodes).
     MalformedBlock,

@@ -3,8 +3,9 @@
 //! The joint micro+macro search space of AutoCTS is discrete and fully
 //! describable without running a model: an [`ArchSpec`] names the block
 //! DAGs, the operator on every edge, and the backbone wiring. This crate
-//! performs abstract interpretation over that description — no tensors are
-//! allocated, no model is built — and reports, per architecture:
+//! performs abstract interpretation over that description — validation
+//! allocates no tensor and builds no model — and reports, per
+//! architecture:
 //!
 //! 1. **Symbolic shape inference** ([`validate_genotype`]): every operator
 //!    exposes a `shape_fn` ([`OpKind::infer_shape`]) mapping a symbolic
@@ -22,6 +23,10 @@
 //! 3. **Determinism audit** ([`audit_determinism`]): every parallel tensor
 //!    kernel must be registered with an order-fixed partition/reduction
 //!    strategy; the audit machine-checks the registry invariants.
+//! 4. **Static cost** ([`analyze_cost`]): exact flops, bytes and kernel
+//!    counts plus a peak-bytes bound, from running every operator body on
+//!    the shape-only `cts_ops::Cost` backend. No kernel runs; only weights
+//!    and graph supports are allocated.
 //!
 //! Errors mean "reject this architecture before spending a training run on
 //! it"; warnings mean "trainable, but part of the compute is wasted".

@@ -3,9 +3,10 @@
 //!
 //! For each operator family in the full Table 1 set, a canonical
 //! two-block architecture dominated by that family is priced by
-//! `cts_verify::analyze_cost` at N = 100, 300 and 1000 nodes — no tensor
-//! is ever allocated, so the 1000-node column costs microseconds, not
-//! the hours a training run would. Each priced architecture is then
+//! `cts_verify::analyze_cost` at N = 100, 300 and 1000 nodes — no kernel
+//! runs and only weights and graph supports are allocated, so the
+//! 1000-node column costs milliseconds, not the hours a training run
+//! would. Each priced architecture is then
 //! checked against a fixed reference budget (calibrated to pass at
 //! N = 100) and the report names, per family, which budget blows first
 //! as N grows: FLOPs-per-step for the dense spatial families, peak

@@ -364,6 +364,7 @@ fn smoke_candidate(
 
 fn kind_name(kind: FindingKind) -> &'static str {
     match kind {
+        FindingKind::ZeroDim => "zero dimension",
         FindingKind::MalformedBlock => "malformed block",
         FindingKind::DanglingNode => "dangling node",
         FindingKind::BadBackbone => "bad backbone",
