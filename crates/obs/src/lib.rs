@@ -522,8 +522,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Tests here flip the process-wide metrics switch; serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// Tests that flip the process-wide metrics switch, here and in
+    /// `runlog`, serialize on this.
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn metrics_switch_roundtrip() {

@@ -2,12 +2,14 @@
 //!
 //! [`Cost`] is a third [`Backend`], next to the tape and `Eager`. Its
 //! values are shapes. Each method prices the kernel `Eager` would run for
-//! it, through the [`Trace`] kernel primitives, and computes the output
-//! shape; nothing executes. So an operator's price is its own body's
-//! kernel sequence, not a copy of it: [`OpKind::cost`] builds the operator
-//! and runs its body here, `ExecPlan::static_cost` runs its live operators,
-//! embedding and head here, and `cts-verify` rolls the prices up into
-//! whole-genotype budgets before a single forward pass runs.
+//! it and computes the output shape; nothing executes. So an operator's
+//! price is its own body's kernel sequence, not a copy of it:
+//! `StOperator::price` runs an operator body here, [`price_linear`],
+//! [`price_project`] and [`price_add`] run the embedding, the output head
+//! and the same-shape adds of a compiled plan, and `ExecPlan::step_costs`
+//! calls them once per step of the plan's own program. `cts-verify` prices
+//! a candidate genotype by compiling it and rolling those step prices up
+//! into whole-genotype budgets before a single forward pass runs.
 //!
 //! The contract (the static counterpart of the meter in
 //! `cts_tensor::meter`):
@@ -31,17 +33,13 @@
 //! * `param_count` is read from the weights of the priced layer or
 //!   operator.
 //!
-//! Pricing runs no kernel. It allocates only the operator's weights and,
-//! for [`OpKind::cost`] of a GCN-family operator, zero-filled `[N, N]`
-//! graph supports.
+//! Pricing runs no kernel and allocates nothing beyond what the caller
+//! already built: the priced layers' weights and the graph context.
 
-use crate::meta::{ShapeCtx, ShapeIssue};
-use crate::{build_operator, project, GraphContext, OpFamily, OpKind};
+use crate::project;
 use cts_autograd::{Backend, Parameter};
 use cts_nn::Linear;
-use cts_tensor::sym::SymDim;
 use cts_tensor::{broadcast_shapes, Shape, Tensor};
-use rand::{rngs::SmallRng, SeedableRng};
 use std::cell::RefCell;
 
 /// Every tensor element is an `f32`.
@@ -89,53 +87,6 @@ impl OpCost {
     }
 }
 
-/// Concrete evaluation context the cost rules price against.
-///
-/// Unlike [`ShapeCtx`], pricing needs every dimension bound to a number:
-/// symbolic dims resolve as `"B" → batch`, `"N" → nodes` (any other symbol
-/// prices as 1). `graph_nodes` keeps the *validation* semantics identical
-/// to the shape pass: when `None`, spatial ops accept any node dim, exactly
-/// as `infer_shape` does.
-#[derive(Clone, Copy, Debug)]
-pub struct CostCtx {
-    /// Batch size `B` the symbolic batch dim resolves to.
-    pub batch: usize,
-    /// Node count `N` the symbolic node dim resolves to.
-    pub nodes: usize,
-    /// Channel width `d` the operator weights are sized for.
-    pub width: usize,
-    /// Node count used for shape *validation* (`None` = accept any node
-    /// dim, mirroring [`ShapeCtx::graph_nodes`]).
-    pub graph_nodes: Option<usize>,
-    /// Diffusion order / Chebyshev order `K` of the GCN-family ops.
-    pub gcn_k: usize,
-    /// Whether the graph context carries an adaptive adjacency (gates
-    /// DGCN's adaptive diffusion direction).
-    pub adaptive: bool,
-    /// Embedding width of the adaptive adjacency factors `E₁ [N, emb]`,
-    /// `E₂ [emb, N]` (ignored when `adaptive` is false).
-    pub adaptive_emb: usize,
-}
-
-impl CostCtx {
-    /// The validation view of this context, for [`OpKind::infer_shape`].
-    pub fn shape_ctx(&self) -> ShapeCtx {
-        ShapeCtx {
-            width: self.width,
-            graph_nodes: self.graph_nodes,
-        }
-    }
-
-    fn resolve(&self, dim: &SymDim) -> usize {
-        match dim {
-            SymDim::Const(c) => *c,
-            SymDim::Sym("B") => self.batch,
-            SymDim::Sym("N") => self.nodes,
-            SymDim::Sym(_) => 1,
-        }
-    }
-}
-
 /// Arena-aligned byte footprint of a buffer of `elems` f32 elements: the
 /// arena rounds every allocation up to the next power of two capacity.
 pub fn arena_bytes(elems: u64) -> u64 {
@@ -153,16 +104,11 @@ pub fn arena_bytes(elems: u64) -> u64 {
 /// its entry hook and dispatch record). Free operations (shape ops, clones)
 /// only contribute `scratch_bytes` through [`Trace::alloc`].
 #[derive(Clone, Debug, Default)]
-pub struct Trace {
+pub(crate) struct Trace {
     cost: OpCost,
 }
 
 impl Trace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Finish the trace, yielding the accumulated cost.
     pub fn finish(self) -> OpCost {
         self.cost
@@ -508,55 +454,23 @@ pub fn price_project(output: &Linear, shape: &[usize]) -> OpCost {
     cost.finish(&output.parameters())
 }
 
-impl OpKind {
-    /// Price one application of this operator on the symbolic `input`
-    /// shape, resolved under `ctx`.
-    ///
-    /// Validates `input` with [`OpKind::infer_shape`], builds the operator
-    /// from a fixed-seed RNG against zero-filled graph supports of the
-    /// right shapes, and runs its body on [`Cost`]. The GCN family's
-    /// supports are `[N, N]`, so pricing it allocates `O(K·N²)` floats.
-    ///
-    /// # Errors
-    /// The same [`ShapeIssue`]s `infer_shape` reports: costs exist only for
-    /// inputs the operator accepts.
-    pub fn cost(&self, input: &[SymDim], ctx: &CostCtx) -> Result<OpCost, ShapeIssue> {
-        self.infer_shape(input, &ctx.shape_ctx())?;
-        let dims: Vec<usize> = input.iter().map(|d| ctx.resolve(d)).collect();
-        // Only the GCN family reads the graph, and it mixes over the
-        // input's node dim; every other op gets an empty one.
-        let nodes = match self.family() {
-            OpFamily::SpatialGcn => dims[1],
-            _ => 0,
-        };
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut graph = GraphContext::zeros(nodes, ctx.gcn_k);
-        if ctx.adaptive {
-            graph = graph.with_adaptive(&mut rng, ctx.adaptive_emb);
-        }
-        let op = build_operator(&mut rng, *self, "price", ctx.width, ctx.gcn_k, ctx.adaptive);
-        Ok(op.price(&dims, &graph))
-    }
+/// Price one same-shape `add` of two `shape` operands read in place: an
+/// accumulate fold, block residual or skip merge of a compiled plan.
+pub fn price_add(shape: &[usize]) -> OpCost {
+    let cost = Cost::new();
+    let b = &cost;
+    b.output(b.add(&b.input(shape), &b.input(shape)));
+    cost.finish(&[])
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{build_operator, full_set, GraphContext};
+    use crate::{build_operator, full_set, GraphContext, OpKind};
     use cts_graph::{random_geometric_graph, GraphGenConfig};
     use cts_tensor::{init, meter};
     use rand::{rngs::SmallRng, SeedableRng};
 
-    fn bntd(n: usize, t: usize, d: usize) -> Vec<SymDim> {
-        vec![
-            SymDim::Sym("B"),
-            SymDim::Const(n),
-            SymDim::Const(t),
-            SymDim::Const(d),
-        ]
-    }
-
-    /// The heart of the contract: for every operator kind, the static cost
+    /// The heart of the contract: for every operator kind, the static price
     /// must equal the instrumented meter's observation of one forward_eval,
     /// bit for bit, and the parameter count must match the real weights.
     #[test]
@@ -573,15 +487,6 @@ mod tests {
             } else {
                 GraphContext::from_graph(&g, k)
             };
-            let cctx = CostCtx {
-                batch: b,
-                nodes: n,
-                width: d,
-                graph_nodes: Some(n),
-                gcn_k: k,
-                adaptive,
-                adaptive_emb: 4,
-            };
             for kind in full_set() {
                 let op = build_operator(&mut rng, kind, "op", d, k, adaptive);
                 let x = init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0);
@@ -591,7 +496,7 @@ mod tests {
                 let got = meter::snapshot();
                 meter::set_enabled(false);
                 assert_eq!(y.shape(), x.shape(), "{kind} changed shape");
-                let want = kind.cost(&bntd(n, t, d), &cctx).unwrap();
+                let want = op.price(&[b, n, t, d], &ctx);
                 assert_eq!(want.flops, got.flops, "{kind} (adaptive={adaptive}): flops");
                 assert_eq!(
                     want.bytes_read,
@@ -625,15 +530,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let g = random_geometric_graph(&mut rng, &GraphGenConfig { n, ..Default::default() });
         let ctx = GraphContext::from_graph(&g, k);
-        let cctx = CostCtx {
-            batch: b,
-            nodes: n,
-            width: d,
-            graph_nodes: Some(n),
-            gcn_k: k,
-            adaptive: false,
-            adaptive_emb: 0,
-        };
         for t in [2usize, 3, 4, 8, 16, 24] {
             let op = build_operator(&mut rng, OpKind::InformerT, "op", d, k, false);
             let x = init::uniform(&mut rng, [b, n, t, d], -1.0, 1.0);
@@ -642,52 +538,34 @@ mod tests {
             let _ = op.forward_eval(&x, &ctx);
             let got = meter::snapshot();
             meter::set_enabled(false);
-            let want = OpKind::InformerT.cost(&bntd(n, t, d), &cctx).unwrap();
+            let want = op.price(&[b, n, t, d], &ctx);
             assert_eq!(want.flops, got.flops, "T={t}: flops");
             assert_eq!(want.kernel_calls, got.kernel_calls, "T={t}: calls");
         }
     }
 
     #[test]
-    fn cost_rejects_what_infer_shape_rejects() {
-        let cctx = CostCtx {
-            batch: 2,
-            nodes: 5,
-            width: 6,
-            graph_nodes: Some(5),
-            gcn_k: 2,
-            adaptive: false,
-            adaptive_emb: 0,
-        };
-        // Wrong rank.
-        assert!(OpKind::Gdcc.cost(&[SymDim::Sym("B")], &cctx).is_err());
-        // Wrong channel width.
-        assert!(OpKind::Gdcc.cost(&bntd(5, 8, 7), &cctx).is_err());
-        // Wrong node count for a spatial op.
-        assert!(OpKind::Dgcn.cost(&bntd(4, 8, 6), &cctx).is_err());
+    fn zero_and_identity_prices() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let ctx = GraphContext::zeros(0, 2);
+        let price = |rng: &mut SmallRng, kind| build_operator(rng, kind, "op", 6, 2, false).price(&[3], &ctx);
         // Zero accepts anything and is one metered kernel.
-        let z = OpKind::Zero.cost(&[SymDim::Const(3)], &cctx).unwrap();
+        let z = price(&mut rng, OpKind::Zero);
         assert_eq!(z.kernel_calls, 1);
         assert_eq!(z.flops, 3);
         // Identity is free but still occupies scratch.
-        let i = OpKind::Identity.cost(&[SymDim::Const(3)], &cctx).unwrap();
+        let i = price(&mut rng, OpKind::Identity);
         assert_eq!(i.kernel_calls, 0);
         assert!(i.scratch_bytes > 0);
     }
 
     #[test]
     fn costs_scale_with_batch() {
-        let cctx = |batch: usize| CostCtx {
-            batch,
-            nodes: 5,
-            width: 6,
-            graph_nodes: Some(5),
-            gcn_k: 2,
-            adaptive: false,
-            adaptive_emb: 0,
-        };
-        let small = OpKind::Gdcc.cost(&bntd(5, 8, 6), &cctx(1)).unwrap();
-        let big = OpKind::Gdcc.cost(&bntd(5, 8, 6), &cctx(4)).unwrap();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let op = build_operator(&mut rng, OpKind::Gdcc, "op", 6, 2, false);
+        let ctx = GraphContext::zeros(0, 2);
+        let small = op.price(&[1, 5, 8, 6], &ctx);
+        let big = op.price(&[4, 5, 8, 6], &ctx);
         assert!(big.flops > small.flops);
         assert_eq!(big.param_count, small.param_count);
     }

@@ -28,8 +28,7 @@ pub use attention_ops::{InformerSOp, InformerTOp, TransformerSOp, TransformerTOp
 pub use basic::{Conv1dOp, GdccOp, IdentityOp, ZeroOp};
 pub use context::{node_mix, GraphContext};
 pub use cost::{
-    arena_bytes, price_linear, price_project, Cost, CostCtx, CostVal, OpCost, Trace,
-    BYTES_PER_ELEM,
+    arena_bytes, price_add, price_linear, price_project, Cost, CostVal, OpCost, BYTES_PER_ELEM,
 };
 pub use gcn_ops::{ChebGcnOp, DgcnOp};
 pub use kinds::{OpFamily, OpKind};

@@ -3,19 +3,17 @@
 //! Each nn layer body the operators are built from runs twice: once on
 //! `Eager` under the `cts_tensor::meter` instrumentation, and once on
 //! `Cost`. The price must equal the count exactly. Then the meter stays on
-//! around every pricing entry point — `OpKind::cost`, `analyze_cost` and
-//! `ExecPlan::static_cost` — and must record nothing: pricing runs no
+//! around every pricing entry point — `StOperator::price`, `analyze_cost`
+//! and `ExecPlan::static_cost` — and must record nothing: pricing runs no
 //! kernel.
 
 use cts_autograd::{Backend, Eager, EagerVal};
 use cts_graph::{random_geometric_graph, GraphGenConfig};
 use cts_nn::{AttentionKind, AttentionLayer, Gru, LayerNorm, Linear, Lstm};
 use cts_ops::{
-    build_operator, compact_set, full_set, node_mix, Cost, CostCtx, GraphContext, OpKind,
-    StOperator,
+    build_operator, compact_set, full_set, node_mix, Cost, GraphContext, OpKind, StOperator,
 };
 use cts_runtime::{BlockPlan, ExecPlan, PlanSpec};
-use cts_tensor::sym::SymDim;
 use cts_tensor::{init, meter, Tensor};
 use cts_verify::{analyze_cost, ArchSpec, BlockSpec, ModelDims};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -117,7 +115,7 @@ fn layer_prices_match_the_meter_and_pricing_runs_no_kernel() {
     let plan = ExecPlan::compile(PlanSpec {
         embed: Rc::new(Linear::new(&mut rng, "embed", f, d, true)),
         output: Rc::new(Linear::new(&mut rng, "output", t * d, 3, true)),
-        ctx,
+        ctx: Rc::clone(&ctx),
         blocks: vec![BlockPlan { m: 3, edges }],
         backbone: vec![0],
         out_scale: 1.0,
@@ -128,21 +126,15 @@ fn layer_prices_match_the_meter_and_pricing_runs_no_kernel() {
         features: f,
     })
     .expect("plan compiles");
-    let cctx = CostCtx {
-        batch: 2,
-        nodes: n,
-        width: d,
-        graph_nodes: Some(n),
-        gcn_k: k,
-        adaptive: true,
-        adaptive_emb: 3,
-    };
-    let bntd = [SymDim::Sym("B"), SymDim::Const(n), SymDim::Const(t), SymDim::Const(d)];
+    let every_op: Vec<_> = full_set()
+        .into_iter()
+        .map(|kind| build_operator(&mut rng, kind, "op", d, k, true))
+        .collect();
 
     meter::reset();
     meter::set_enabled(true);
-    for kind in full_set() {
-        assert!(kind.cost(&bntd, &cctx).expect("accepted").flops > 0 || kind == OpKind::Identity);
+    for op in &every_op {
+        assert!(op.price(&[2, n, t, d], &ctx).flops > 0 || op.kind() == OpKind::Identity);
     }
     let report = analyze_cost(&arch, 2).expect("accepted architecture prices");
     let static_cost = plan.static_cost(2);

@@ -48,7 +48,7 @@ pub use batcher::{MicroBatcher, TapeFallback};
 pub use cache::{CacheKey, ForecastCache};
 pub use error::ServeError;
 pub use front::{FrontConfig, ServeFront, ShardCanary, ShardFactory, ShardModel, TicketAnswer};
-pub use plan::{BlockPlan, ExecPlan, PlanError, PlanSpec};
+pub use plan::{BlockPlan, ExecPlan, PlanError, PlanSpec, StepCost};
 pub use registry::PlanRegistry;
 
 #[cfg(test)]

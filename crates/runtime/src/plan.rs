@@ -3,8 +3,8 @@
 use crate::error::ServeError;
 use cts_nn::Linear;
 use cts_ops::{
-    price_linear, price_project, project_eval, GraphContext, OpCost, OpKind, ShapeCtx,
-    ShapeIssue, StOperator, Trace,
+    price_add, price_linear, price_project, project_eval, GraphContext, OpCost, OpKind,
+    ShapeCtx, ShapeIssue, StOperator,
 };
 use cts_tensor::sym::{eval_shape, format_shape, SymDim};
 use cts_tensor::{arena, ops, Tensor};
@@ -96,6 +96,26 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// Where a step of the flat program comes from in the architecture.
+enum Site {
+    /// Edge `edge` (its index in the block's genotype order) of `block`.
+    Edge { block: usize, edge: usize },
+    /// The residual add closing a block.
+    Residual(usize),
+    /// The skip-merge add folding in a block's output.
+    Merge(usize),
+}
+
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Site::Edge { block, edge } => write!(f, "block{block}.e{edge}"),
+            Site::Residual(block) => write!(f, "block{block} residual"),
+            Site::Merge(block) => write!(f, "merge block{block}"),
+        }
+    }
+}
+
 /// One record of the flat program. Slots index the plan's workspace.
 enum Step {
     /// `dst (+)= op(slot[src])`; `accumulate` folds onto the existing value
@@ -105,9 +125,30 @@ enum Step {
         src: usize,
         dst: usize,
         accumulate: bool,
+        site: Site,
     },
     /// `dst = slot[a] + slot[b]` (block residual / skip merge).
-    Add { a: usize, b: usize, dst: usize },
+    Add { a: usize, b: usize, dst: usize, site: Site },
+}
+
+/// The static price of one record of a compiled plan's forward program,
+/// with the workspace slots it reads and writes.
+#[derive(Clone, Debug)]
+pub struct StepCost {
+    /// Where: `"embed"`, `"block0.e2"`, `"block1 residual"`,
+    /// `"merge block2"`, `"output head"`.
+    pub site: String,
+    /// The operator kind, for op-edge steps.
+    pub kind: Option<OpKind>,
+    /// Exact flops/bytes plus scratch upper bound for this step (edge steps
+    /// that accumulate into an already-written node include the fold add).
+    pub cost: OpCost,
+    /// Workspace slots this step reads.
+    pub srcs: Vec<usize>,
+    /// Workspace slot this step writes.
+    pub dst: usize,
+    /// True when `dst` is written for the first time (resident set grows).
+    pub new_slot: bool,
 }
 
 /// A compiled, tape-free forward program for one derived architecture.
@@ -151,6 +192,20 @@ impl ExecPlan {
                 "backbone length {} != block count {}",
                 spec.backbone.len(),
                 spec.blocks.len()
+            )));
+        }
+        if spec.embed.d_in() != spec.features {
+            return Err(PlanError::Invalid(format!(
+                "embedding reads {} features, the input has {}",
+                spec.embed.d_in(),
+                spec.features
+            )));
+        }
+        if spec.ctx.n() != spec.nodes {
+            return Err(PlanError::Invalid(format!(
+                "graph context has {} nodes, the input has {}",
+                spec.ctx.n(),
+                spec.nodes
             )));
         }
         if spec.embed.d_out() != spec.d_model {
@@ -215,7 +270,7 @@ impl ExecPlan {
                     slot_shapes.push(s);
                     slot_shapes.len() - 1
                 };
-                for (from, to, op) in &block.edges {
+                for (edge, (from, to, op)) in block.edges.iter().enumerate() {
                     if *to != j {
                         continue;
                     }
@@ -246,6 +301,7 @@ impl ExecPlan {
                         src,
                         dst,
                         accumulate: !first,
+                        site: Site::Edge { block: i, edge },
                     });
                     first = false;
                 }
@@ -272,6 +328,7 @@ impl ExecPlan {
                 a: out_slot,
                 b: input_slot,
                 dst: resid,
+                site: Site::Residual(i),
             });
             source_slots.push(resid);
             block_out_slots.push(resid);
@@ -280,7 +337,7 @@ impl ExecPlan {
         // Skip-merge: merged = Σ block outputs, folded in block order
         // exactly like the tape forward.
         let mut merged_slot = block_out_slots[0];
-        for &next in &block_out_slots[1..] {
+        for (i, &next) in block_out_slots.iter().enumerate().skip(1) {
             if slot_shapes[next] != slot_shapes[merged_slot] {
                 return Err(PlanError::Mismatch {
                     step: steps.len(),
@@ -295,6 +352,7 @@ impl ExecPlan {
                 a: merged_slot,
                 b: next,
                 dst,
+                site: Site::Merge(i),
             });
             merged_slot = dst;
         }
@@ -352,6 +410,7 @@ impl ExecPlan {
                     src,
                     dst,
                     accumulate,
+                    ..
                 } => {
                     // invariant: compile emits steps in topological order, so
                     // the source slot of every step is already filled.
@@ -365,7 +424,7 @@ impl ExecPlan {
                         slots[*dst] = Some(y);
                     }
                 }
-                Step::Add { a, b, dst } => {
+                Step::Add { a, b, dst, .. } => {
                     // invariant: compile emits steps in topological order, so
                     // both operand slots are already filled.
                     let left = slots[*a].as_ref().expect("topological order");
@@ -408,44 +467,78 @@ impl ExecPlan {
         let _ = self.try_run(&x);
     }
 
-    /// Price one `try_run` at batch size `batch` without executing it:
-    /// the embedding, every live operator and the output head run their
-    /// bodies on the shape-only `cts_ops::Cost` backend, and each
-    /// accumulate fold, residual and merge add prices as one same-shape
-    /// zip.
+    /// Price one `try_run` at batch size `batch`, step by step, without
+    /// executing it: one record per step in emission order — the
+    /// embedding, every edge, residual and merge, then the output head.
     ///
-    /// The `flops`/`bytes`/`kernel_calls` fields are exact against the
-    /// instrumented kernel meter for the same batch; `scratch_bytes` is an
-    /// arena-aligned upper bound. No kernel runs.
-    pub fn static_cost(&self, batch: usize) -> OpCost {
+    /// Layers and live operators run their bodies on the shape-only
+    /// `cts_ops::Cost` backend; each accumulate fold, residual and merge
+    /// prices as one same-shape add. The `flops`/`bytes`/`kernel_calls`
+    /// fields are exact against the instrumented kernel meter for the same
+    /// batch; `scratch_bytes` is an arena-aligned upper bound. No kernel
+    /// runs.
+    pub fn step_costs(&self, batch: usize) -> Vec<StepCost> {
         let bind = [("B", batch)];
         // invariant: every slot shape is [B, N, T, D] with only B symbolic.
         let slot = |i: usize| eval_shape(&self.slot_shapes[i], &bind).expect("B is bound");
-        let mut add = Trace::new();
-        add.zip_same(slot(0).iter().fold(1u64, |acc, &d| acc.saturating_mul(d as u64)));
-        let add = add.finish();
         let input = [batch, self.nodes, self.input_len, self.features];
-        let mut total = price_linear(&self.embed, &input);
-        for step in &self.steps {
-            let c = match step {
-                Step::Op {
-                    op,
-                    src,
-                    accumulate,
-                    ..
-                } => {
-                    let c = op.price(&slot(*src), &self.ctx);
-                    if *accumulate {
-                        c.saturating_add(&add)
+        let mut out = Vec::with_capacity(self.steps.len().saturating_add(2));
+        out.push(StepCost {
+            site: "embed".into(),
+            kind: None,
+            cost: price_linear(&self.embed, &input),
+            srcs: Vec::new(),
+            dst: 0,
+            new_slot: true,
+        });
+        out.extend(self.steps.iter().map(|step| match step {
+            Step::Op {
+                op,
+                src,
+                dst,
+                accumulate,
+                site,
+            } => {
+                let cost = op.price(&slot(*src), &self.ctx);
+                StepCost {
+                    site: site.to_string(),
+                    kind: Some(op.kind()),
+                    cost: if *accumulate {
+                        cost.saturating_add(&price_add(&slot(*dst)))
                     } else {
-                        c
-                    }
+                        cost
+                    },
+                    srcs: vec![*src],
+                    dst: *dst,
+                    new_slot: !*accumulate,
                 }
-                Step::Add { .. } => add,
-            };
-            total = total.saturating_add(&c);
-        }
-        total.saturating_add(&price_project(&self.output, &slot(self.merged_slot)))
+            }
+            Step::Add { a, b, dst, site } => StepCost {
+                site: site.to_string(),
+                kind: None,
+                cost: price_add(&slot(*dst)),
+                srcs: vec![*a, *b],
+                dst: *dst,
+                new_slot: true,
+            },
+        }));
+        out.push(StepCost {
+            site: "output head".into(),
+            kind: None,
+            cost: price_project(&self.output, &slot(self.merged_slot)),
+            srcs: vec![self.merged_slot],
+            dst: self.merged_slot,
+            new_slot: false,
+        });
+        out
+    }
+
+    /// Price one `try_run` at batch size `batch`: the field-wise total of
+    /// [`Self::step_costs`].
+    pub fn static_cost(&self, batch: usize) -> OpCost {
+        self.step_costs(batch)
+            .iter()
+            .fold(OpCost::default(), |acc, s| acc.saturating_add(&s.cost))
     }
 
     /// Number of records in the flat program (diagnostics / reports).
@@ -606,6 +699,72 @@ mod tests {
         spec.d_model = 8;
         let err = ExecPlan::compile(spec).err().unwrap();
         assert!(matches!(err, PlanError::Invalid(_)), "{err}");
+    }
+
+    /// Regression: an embedding sized for another feature count used to
+    /// compile, and `try_run` on the plan's own input shape then panicked
+    /// inside the embedding matmul.
+    #[test]
+    fn rejects_embedding_feature_mismatch() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut spec = tiny_spec(&mut rng, OpKind::Gdcc);
+        spec.features = 3; // the embedding reads 2
+        let err = ExecPlan::compile(spec).err().unwrap();
+        assert!(matches!(err, PlanError::Invalid(_)), "{err}");
+    }
+
+    /// Regression: a graph context over another node count used to
+    /// compile, and `try_run` on the plan's own input shape then panicked
+    /// inside the first graph convolution's matmul.
+    #[test]
+    fn rejects_graph_node_count_mismatch() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut spec = tiny_spec(&mut rng, OpKind::Dgcn);
+        spec.ctx = Rc::new(GraphContext::from_graph(&SensorGraph::identity(4), 2)); // the input has 3
+        let err = ExecPlan::compile(spec).err().unwrap();
+        assert!(matches!(err, PlanError::Invalid(_)), "{err}");
+    }
+
+    /// `step_costs` lists the program in emission order, names each step's
+    /// site, and records the slots the liveness walks need.
+    #[test]
+    fn step_costs_follow_emission_order() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        let mut spec = tiny_spec(&mut rng, OpKind::Gdcc);
+        let mut id = || -> Rc<dyn StOperator> { Rc::from(build_operator(&mut rng, OpKind::Identity, "id", 4, 2, false)) };
+        // Block 0 gains a second edge into node 2; block 1 reads block 0.
+        spec.blocks[0].edges.push((0, 2, id()));
+        spec.blocks.push(BlockPlan {
+            m: 2,
+            edges: vec![(0, 1, id())],
+        });
+        spec.backbone = vec![0, 1];
+        let plan = ExecPlan::compile(spec).unwrap();
+        let steps = plan.step_costs(2);
+        let got: Vec<_> = steps
+            .iter()
+            .map(|s| (s.site.as_str(), s.srcs.clone(), s.dst, s.new_slot))
+            .collect();
+        let want = [
+            ("embed", vec![], 0, true),
+            ("block0.e0", vec![0], 1, true),
+            ("block0.e1", vec![1], 2, true),
+            ("block0.e2", vec![0], 2, false),
+            ("block0 residual", vec![2, 0], 3, true),
+            ("block1.e0", vec![3], 4, true),
+            ("block1 residual", vec![4, 3], 5, true),
+            ("merge block1", vec![3, 5], 6, true),
+            ("output head", vec![6], 6, false),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(steps[1].kind, Some(OpKind::Gdcc));
+        assert_eq!(steps[4].kind, None);
+        // The accumulating identity edge pays its fold add on top.
+        let fold = price_add(&[2, 3, 5, 4]);
+        assert_eq!(steps[3].cost, steps[2].cost.saturating_add(&fold));
+        assert_eq!(steps[4].cost, fold);
+        let total = steps.iter().fold(OpCost::default(), |acc, s| acc.saturating_add(&s.cost));
+        assert_eq!(plan.static_cost(2), total);
     }
 
     /// The static price of a compiled plan must equal, bit for bit, what

@@ -1,14 +1,14 @@
 //! Whole-architecture static resource analysis: FLOPs, bytes, peak arena
 //! residency, and predicted latency for a candidate genotype — without
-//! building or running a model.
+//! running a model.
 //!
-//! [`analyze_cost`] replays the exact step-emission order of
-//! `cts_runtime::ExecPlan::compile` (embedding, per-block edges in genotype
-//! order with accumulate folds, block residual, skip merge, projection
-//! epilogue), pricing each step through the per-op [`OpKind::cost`]
-//! contract. The per-step `flops`/`bytes` are **exact** against the
-//! instrumented kernel meter; two peak-memory estimates come out of the
-//! same walk:
+//! [`analyze_cost`] builds the candidate the way every model builds it
+//! (fixed-seed weights, zero-filled graph supports), compiles it with
+//! `cts_runtime::ExecPlan::compile` and prices the plan's own step list
+//! with `ExecPlan::step_costs`: the architecture's forward program is
+//! described once, by the compiler. The per-step `flops`/`bytes` are
+//! **exact** against the instrumented kernel meter; two peak-memory
+//! estimates come out of a walk over those steps:
 //!
 //! * `peak_bytes` — *plan-faithful*: workspace slots fill in emission order
 //!   and are never freed mid-run (matching `ExecPlan`'s persistent slots),
@@ -37,28 +37,10 @@ use crate::finding::{FindingKind, VerifyReport};
 use crate::spec::ArchSpec;
 use crate::VerifyError;
 use cts_nn::Linear;
-use cts_ops::{arena_bytes, price_linear, price_project, CostCtx, OpCost, OpKind, ShapeIssue, Trace};
-use cts_tensor::sym::SymDim;
+use cts_ops::{arena_bytes, build_operator, GraphContext, OpCost, ShapeIssue};
+use cts_runtime::{BlockPlan, ExecPlan, PlanError, PlanSpec, StepCost};
 use rand::{rngs::SmallRng, SeedableRng};
-
-/// One priced record of the flat forward program.
-#[derive(Clone, Debug)]
-pub struct StepCost {
-    /// Where: `"embed"`, `"block0.e2"`, `"block1 residual"`,
-    /// `"merge block2"`, `"output head"`.
-    pub site: String,
-    /// The operator kind, for op-edge steps.
-    pub kind: Option<OpKind>,
-    /// Exact flops/bytes plus scratch upper bound for this step (edge steps
-    /// that accumulate into an already-written node include the fold add).
-    pub cost: OpCost,
-    /// Workspace slots this step reads.
-    pub srcs: Vec<usize>,
-    /// Workspace slot this step writes.
-    pub dst: usize,
-    /// True when `dst` is written for the first time (resident set grows).
-    pub new_slot: bool,
-}
+use std::rc::Rc;
 
 /// The priced architecture: per-step costs, totals, and both peak models.
 #[derive(Clone, Debug)]
@@ -225,173 +207,82 @@ impl LatencyModel {
     }
 }
 
-fn issue_kind(issue: &ShapeIssue) -> FindingKind {
-    match issue {
-        ShapeIssue::Rank { .. } => FindingKind::RankError,
-        ShapeIssue::Channel { .. } => FindingKind::ChannelMismatch,
-        ShapeIssue::Nodes { .. } => FindingKind::NodeCountMismatch,
+/// The candidate as a compilable plan: fixed-seed weights, as every model
+/// builds them, over one zero-filled graph context of the architecture's
+/// size. A symbolic node count builds one node.
+fn plan_spec(spec: &ArchSpec) -> PlanSpec {
+    let dims = &spec.dims;
+    let nodes = dims.num_nodes.unwrap_or(1);
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut ctx = GraphContext::zeros(nodes, dims.gcn_k);
+    if dims.adaptive {
+        ctx = ctx.with_adaptive(&mut rng, dims.adaptive_emb);
     }
+    let mut blocks = Vec::with_capacity(spec.blocks.len());
+    for block in &spec.blocks {
+        let mut edges = Vec::with_capacity(block.edges.len());
+        for &(from, to, kind) in &block.edges {
+            let op = build_operator(&mut rng, kind, "price", dims.d_model, dims.gcn_k, dims.adaptive);
+            edges.push((from, to, Rc::from(op)));
+        }
+        blocks.push(BlockPlan { m: block.m, edges });
+    }
+    let flat_width = dims.input_len.saturating_mul(dims.d_model);
+    PlanSpec {
+        embed: Rc::new(Linear::new(&mut rng, "embed", dims.features, dims.d_model, true)),
+        output: Rc::new(Linear::new(&mut rng, "output", flat_width, dims.horizon, true)),
+        ctx: Rc::new(ctx),
+        blocks,
+        backbone: spec.backbone.clone(),
+        out_scale: 1.0,
+        out_shift: 0.0,
+        input_len: dims.input_len,
+        d_model: dims.d_model,
+        nodes,
+        features: dims.features,
+    }
+}
+
+/// A plan the compiler refused, as a typed rejection.
+fn compile_error(err: PlanError) -> VerifyError {
+    let kind = match &err {
+        PlanError::Shape { issue, .. } => match issue {
+            ShapeIssue::Rank { .. } => FindingKind::RankError,
+            ShapeIssue::Channel { .. } => FindingKind::ChannelMismatch,
+            ShapeIssue::Nodes { .. } => FindingKind::NodeCountMismatch,
+        },
+        PlanError::Mismatch { .. } => FindingKind::BroadcastMismatch,
+        PlanError::Invalid(_) => FindingKind::MalformedBlock,
+    };
+    let mut report = VerifyReport::default();
+    report.error(kind, "model", format!("the architecture does not compile: {err}"));
+    VerifyError { report }
 }
 
 /// Price a validated architecture for batch size `batch`.
 ///
-/// The walk mirrors `ExecPlan::compile`'s emission order exactly, so the
-/// per-step flops/bytes match what the instrumented meter observes during
-/// one `ExecPlan::try_run` of the same genotype, bit for bit. When
+/// Compiles the architecture into an `ExecPlan` and prices its step list,
+/// so the per-step flops/bytes match what the instrumented meter observes
+/// during one `ExecPlan::try_run` of the same genotype, bit for bit. When
 /// `dims.num_nodes` is `None` the node dim prices as 1 — callers that want
 /// node-count scaling must bind it.
 ///
 /// # Errors
 /// [`VerifyError`] when the genotype fails validation ([`check_genotype`])
-/// or any edge's cost rule rejects its input shape.
+/// or the plan compiler refuses it.
 pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyError> {
     check_genotype(spec)?;
-    let dims = &spec.dims;
-    let nodes = dims.num_nodes.unwrap_or(1);
-    let cctx = CostCtx {
-        batch,
-        nodes,
-        width: dims.d_model,
-        graph_nodes: dims.num_nodes,
-        gcn_k: dims.gcn_k,
-        adaptive: dims.adaptive,
-        adaptive_emb: dims.adaptive_emb,
-    };
-    let node_dim = match dims.num_nodes {
-        Some(n) => SymDim::Const(n),
-        None => SymDim::Sym("N"),
-    };
-    let bntd = vec![
-        SymDim::Sym("B"),
-        node_dim,
-        SymDim::Const(dims.input_len),
-        SymDim::Const(dims.d_model),
-    ];
-    let slot_shape = [batch, nodes, dims.input_len, dims.d_model];
-    let l_elems = slot_shape
+    let plan = ExecPlan::compile(plan_spec(spec)).map_err(compile_error)?;
+    let steps = plan.step_costs(batch);
+    let num_slots = plan.num_slots();
+    let slot_elems = [batch, plan.nodes(), spec.dims.input_len, spec.dims.d_model]
         .iter()
         .fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
-    let slot_bytes = arena_bytes(l_elems);
-    // Accumulate folds, block residuals and skip merges: one same-shape add.
-    let mut add = Trace::new();
-    add.zip_same(l_elems);
-    let add = add.finish();
-    // The embedding and output head, built as every model builds them and
-    // priced by running their bodies.
-    let mut rng = SmallRng::seed_from_u64(0);
-    let embed = Linear::new(&mut rng, "embed", dims.features, dims.d_model, true);
-    let flat_width = dims.input_len.saturating_mul(dims.d_model);
-    let output = Linear::new(&mut rng, "output", flat_width, dims.horizon, true);
-
-    let mut report = VerifyReport::default();
-    let mut steps: Vec<StepCost> = Vec::new();
-
-    // Slot 0: the embedding output, Linear(features → d_model) over B·N·T.
-    steps.push(StepCost {
-        site: "embed".into(),
-        kind: None,
-        cost: price_linear(&embed, &[batch, nodes, dims.input_len, dims.features]),
-        srcs: Vec::new(),
-        dst: 0,
-        new_slot: true,
-    });
-
-    let mut next_slot = 1usize;
-    let mut source_slots = vec![0usize];
-    let mut block_out_slots = Vec::with_capacity(spec.blocks.len());
-    for (bi, block) in spec.blocks.iter().enumerate() {
-        let input_slot = source_slots[spec.backbone[bi]];
-        let mut node_slots = vec![input_slot];
-        for j in 1..block.m {
-            let dst = next_slot;
-            next_slot = next_slot.saturating_add(1);
-            let mut first = true;
-            for (ei, (from, to, op)) in block.edges.iter().enumerate() {
-                if *to != j {
-                    continue;
-                }
-                let site = format!("block{bi}.e{ei}");
-                match op.cost(&bntd, &cctx) {
-                    Ok(edge_cost) => {
-                        let cost = if first {
-                            edge_cost
-                        } else {
-                            // Accumulate fold: acc = ops::add(acc, y).
-                            edge_cost.saturating_add(&add)
-                        };
-                        steps.push(StepCost {
-                            site,
-                            kind: Some(*op),
-                            cost,
-                            srcs: vec![node_slots[*from]],
-                            dst,
-                            new_slot: first,
-                        });
-                    }
-                    Err(issue) => {
-                        report.error(
-                            issue_kind(&issue),
-                            site,
-                            format!(
-                                "edge e{ei} ({from}→{to}, {op}) of block{bi} cannot be priced: {issue}"
-                            ),
-                        );
-                    }
-                }
-                first = false;
-            }
-            node_slots.push(dst);
-        }
-        // Block residual: resid = block_out ⊕ block_in.
-        // invariant: check_genotype rejected m < 2 before pricing
-        let out_slot = *node_slots.last().expect("m ≥ 2 checked");
-        let dst = next_slot;
-        next_slot = next_slot.saturating_add(1);
-        steps.push(StepCost {
-            site: format!("block{bi} residual"),
-            kind: None,
-            cost: add,
-            srcs: vec![out_slot, input_slot],
-            dst,
-            new_slot: true,
-        });
-        source_slots.push(dst);
-        block_out_slots.push(dst);
-    }
-
-    // Skip-merge fold over block outputs, in block order.
-    let mut merged = block_out_slots[0];
-    for (bi, &next) in block_out_slots.iter().enumerate().skip(1) {
-        let dst = next_slot;
-        next_slot = next_slot.saturating_add(1);
-        steps.push(StepCost {
-            site: format!("merge block{bi}"),
-            kind: None,
-            cost: add,
-            srcs: vec![merged, next],
-            dst,
-            new_slot: true,
-        });
-        merged = dst;
-    }
-
-    // Projection epilogue: relu → flatten → output linear → affine.
-    steps.push(StepCost {
-        site: "output head".into(),
-        kind: None,
-        cost: price_project(&output, &slot_shape),
-        srcs: vec![merged],
-        dst: merged,
-        new_slot: false,
-    });
-
-    if !report.is_ok() {
-        return Err(VerifyError { report });
-    }
+    let slot_bytes = arena_bytes(slot_elems);
 
     // Plan-faithful peak: slots persist once filled; each step's transient
     // scratch rides on top of the resident set at that moment.
-    let mut filled = vec![false; next_slot];
+    let mut filled = vec![false; num_slots];
     let mut resident = 0u64;
     let mut peak = 0u64;
     let mut peak_site = String::new();
@@ -408,13 +299,13 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
     }
 
     // Ideal liveness-interval peak: free every slot after its last read.
-    let mut last_use = vec![usize::MAX; next_slot];
+    let mut last_use = vec![usize::MAX; num_slots];
     for (i, s) in steps.iter().enumerate() {
         for &src in &s.srcs {
             last_use[src] = i;
         }
     }
-    let mut live = vec![false; next_slot];
+    let mut live = vec![false; num_slots];
     let mut live_bytes = 0u64;
     let mut ideal = 0u64;
     for (i, s) in steps.iter().enumerate() {
@@ -441,7 +332,7 @@ pub fn analyze_cost(spec: &ArchSpec, batch: usize) -> Result<CostReport, VerifyE
         steps,
         total,
         slot_bytes,
-        num_slots: next_slot,
+        num_slots,
         peak_bytes: peak,
         peak_site,
         ideal_peak_bytes: ideal,
@@ -509,6 +400,7 @@ pub fn check_budgets(
 mod tests {
     use super::*;
     use crate::spec::{BlockSpec, ModelDims};
+    use cts_ops::OpKind;
 
     fn dims() -> ModelDims {
         ModelDims {
@@ -600,6 +492,43 @@ mod tests {
                 .expect("zero-dimension finding");
             assert!(f.message.contains(dim), "{}", f.message);
         }
+    }
+
+    /// An unbound node count prices exactly like one node: same steps,
+    /// same per-step costs, same totals and peaks.
+    #[test]
+    fn symbolic_node_count_prices_as_one_node() {
+        let block = BlockSpec {
+            m: 3,
+            edges: vec![
+                (0, 1, OpKind::Dgcn),
+                (1, 2, OpKind::InformerS),
+                (0, 2, OpKind::Zero),
+            ],
+        };
+        let mut symbolic = arch(vec![block], vec![0]);
+        symbolic.dims.num_nodes = None;
+        let mut one = symbolic.clone();
+        one.dims.num_nodes = Some(1);
+        let sym = analyze_cost(&symbolic, 3).expect("symbolic N prices");
+        let bound = analyze_cost(&one, 3).expect("N = 1 prices");
+        assert_eq!(sym.total, bound.total);
+        let steps = |r: &CostReport| -> Vec<(String, OpCost)> {
+            r.steps.iter().map(|s| (s.site.clone(), s.cost)).collect()
+        };
+        assert_eq!(steps(&sym), steps(&bound));
+        assert_eq!(sym.steps.len(), 6);
+        assert_eq!(sym.peak_bytes, bound.peak_bytes);
+        assert_eq!(sym.ideal_peak_bytes, bound.ideal_peak_bytes);
+    }
+
+    /// A plan the compiler refuses comes back as a typed finding.
+    #[test]
+    fn compile_refusal_is_a_typed_finding() {
+        let err = compile_error(PlanError::Invalid("no blocks".into()));
+        let f = err.report.errors().next().expect("one error finding");
+        assert_eq!(f.kind, FindingKind::MalformedBlock);
+        assert!(f.message.contains("no blocks"), "{}", f.message);
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //!    kernel must be registered with an order-fixed partition/reduction
 //!    strategy; the audit machine-checks the registry invariants.
 //! 4. **Static cost** ([`analyze_cost`]): exact flops, bytes and kernel
-//!    counts plus a peak-bytes bound, from running every operator body on
-//!    the shape-only `cts_ops::Cost` backend. No kernel runs; only weights
-//!    and graph supports are allocated.
+//!    counts plus a peak-bytes bound. The architecture is compiled into a
+//!    `cts_runtime::ExecPlan` and each step of that plan is priced by
+//!    running its body on the shape-only `cts_ops::Cost` backend. No
+//!    kernel runs; only weights and one set of zero graph supports are
+//!    allocated.
 //!
 //! Errors mean "reject this architecture before spending a training run on
 //! it"; warnings mean "trainable, but part of the compute is wasted".
@@ -41,14 +43,15 @@ mod finding;
 mod spec;
 
 pub use analyze::{validate_block, validate_genotype};
-pub use cost::{analyze_cost, check_budgets, CostBudgets, CostReport, LatencyModel, StepCost};
+pub use cost::{analyze_cost, check_budgets, CostBudgets, CostReport, LatencyModel};
 pub use determinism::{audit_determinism, DeterminismReport, KernelEntry};
 pub use finding::{Finding, FindingKind, Severity, VerifyError, VerifyReport};
 pub use spec::{ArchSpec, BlockSpec, ModelDims};
 
-// Re-exported so downstream callers can name the shape-fn and cost-fn
-// types without depending on cts-ops directly.
-pub use cts_ops::{CostCtx, OpCost, OpKind, ShapeCtx, ShapeIssue};
+// Re-exported so downstream callers can name the shape-fn and cost types
+// without depending on cts-ops or cts-runtime directly.
+pub use cts_ops::{OpCost, OpKind, ShapeCtx, ShapeIssue};
+pub use cts_runtime::StepCost;
 
 /// Validate and convert to a `Result`: `Ok(report)` when no error-severity
 /// finding was recorded, `Err(VerifyError)` otherwise (warnings ride along

@@ -30,8 +30,10 @@ echo "==> static analyzer sweep over the discrete space"
 echo "==> static cost model at 1000 nodes"
 # cost_scaling prices every operator family at N = 100, 300 and 1000
 # nodes, the only caller that prices at that scale; it exits non-zero
-# if the analyzer refuses an architecture it should accept.
-./target/release/cost_scaling
+# if the analyzer refuses an architecture it should accept. Its output is
+# deterministic and must match the committed golden copy byte for byte:
+# a changed price, site label or budget verdict fails here.
+./target/release/cost_scaling | diff -u scripts/cost_scaling.expected -
 
 echo "==> static cost model gate"
 # bench_cost prices every operator family statically and re-counts it

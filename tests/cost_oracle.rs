@@ -8,8 +8,9 @@
 //! 1. the plan's static FLOPs / bytes-read / bytes-written /
 //!    kernel-call counts must match the `cts_tensor::meter` debug
 //!    instrumentation, bit for bit, around a real `try_run`;
-//! 2. the analyzer's rollup must agree with the plan's — same totals
-//!    from two independent walks (symbolic spec vs compiled steps);
+//! 2. the analyzer's rollup must agree with the plan's — the analyzer
+//!    compiles the genotype's spec itself, with its own weights and
+//!    zero graph supports, and must land on the same totals;
 //! 3. the analyzer's plan-faithful peak-bytes estimate must be `≥` the
 //!    arena's observed high-water mark for the same run (soundness),
 //!    and its ideal-liveness peak must never exceed the plan-faithful
